@@ -1,0 +1,119 @@
+"""Byte-identical CLI output on a fixed set of instances.
+
+Each case runs one subcommand through ``gimpl.cli.run`` and compares the
+sha256 of ``json.dumps(payload, indent=2)`` together with the exit code
+against a digest recorded once and checked to repeat across fresh
+interpreters. A refactor that keeps every delta, promise, mapping and exit
+code keeps these digests; any change to the emitted JSON shows up here.
+
+To print the current digests: ``PYTHONPATH=src:tests python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from gimpl import Game, InstanceDoc, RectRegion, serialize_instance
+from gimpl.cli import run
+
+from _support import random_equitable_instance
+
+COMMANDS = {
+    "solve": ["solve", "--jobs", "1"],
+    "solve-exactify": ["solve", "--exactify", "--jobs", "1"],
+    "pne": ["pne"],
+    "oracle": ["oracle"],
+}
+
+GOLDEN = {
+    ('ce1', 'oracle'): '612a7ca536ed39bb429a83ac14b1bd0e427a546d473ab19fbea5206d49a1519f exit=0',
+    ('ce1', 'pne'): 'f35a5d33d7bce1a2e497398f4e2d794661c14eb571491920d26e53b771b4efbb exit=0',
+    ('ce1', 'solve'): 'ae57dc269e64ee8ef482338fa3c8902f454b46c18384e9c54d900cb508efd055 exit=0',
+    ('ce1', 'solve-exactify'): '980b18f1cdc0219a9b5b04120233252effbedd2f6d3bd29caa2c8e9b1fd04090 exit=1',
+    ('ex1', 'oracle'): '45492cc78afd03314078a3ca8c0464c487a0127de0292bd93b65463fb0c6d8e9 exit=0',
+    ('ex1', 'pne'): 'bf86c2eec8b4823526ccf310196ef076c6e0441cbb67f5f501cea9d221db6d53 exit=2',
+    ('ex1', 'solve'): '2ca0f5e5d9f734773f42a015ba53915910daddc721a0b6b7d4cdf09cb06af465 exit=0',
+    ('ex1', 'solve-exactify'): 'c60df6ad289f5d76589666f79660c2fdf572c517459ea9d55eb981a22ac17cf9 exit=1',
+    ('random-equitable', 'oracle'): '25391dd4a89033f4a0493737a10828c36f3b8b94c80124fda1e490acece61ce7 exit=0',
+    ('random-equitable', 'pne'): 'bd50c38b0c1d68ca61ab161738f7a17b38380abd0af53f8b1a58fe42f2c5b987 exit=0',
+    ('random-equitable', 'solve'): '5003c5a3b6ffdee752fcb58ee9a4f879c1551d3bc7bb2c1e9ba4b084a6e40155 exit=0',
+    ('random-equitable', 'solve-exactify'): 'cca7b9967cab703196af0236ea04243bbe578f439089f556f778aa84b44ef78f exit=0',
+    ('x3c-graphical-n1', 'oracle'): '749963d83b4b88b439404b9af53b56cfa3fc74dff974b3c4e0250ef7beb5b99b exit=0',
+    ('x3c-graphical-n1', 'pne'): 'bf86c2eec8b4823526ccf310196ef076c6e0441cbb67f5f501cea9d221db6d53 exit=2',
+    ('x3c-graphical-n1', 'solve'): '66e90e5b0debebddd0868eedd3a8462cf3109390cf4b8a2bddf7f62dfb273e2d exit=0',
+    ('x3c-graphical-n1', 'solve-exactify'): '8bca24277011b96952b6207aa362322116f69402c4f014ea91fa7d717a3b7fbb exit=0',
+}
+
+
+def _ex1() -> InstanceDoc:
+    game = Game.make(
+        ["p1", "p2"],
+        [["s1", "s2", "s3"], ["t1", "t2"]],
+        [
+            {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 0, (2, 0): 0, (2, 1): 1},
+            {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 0): 0, (2, 1): 0},
+        ],
+    )
+    return InstanceDoc(game=game, region=RectRegion.make([[0, 2], [0]]))
+
+
+def _ce1() -> InstanceDoc:
+    game = Game.make(
+        ["p1", "p2"],
+        [["s1", "s2"], ["s1", "s2"]],
+        [
+            {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+            {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+        ],
+    )
+    return InstanceDoc(game=game, region=RectRegion.make([[0, 1], [0]]))
+
+
+def _random_equitable() -> InstanceDoc:
+    game, region = random_equitable_instance(random.Random(20_313))
+    return InstanceDoc(game=game, region=region)
+
+
+def _x3c_graphical() -> str:
+    result = run(["gen", "x3c", "--n", "1", "--seed", "0", "--target", "graphical"])
+    assert result.exit_code == 0
+    return json.dumps(result.payload)
+
+
+INSTANCES = {
+    "ex1": lambda: serialize_instance(_ex1()),
+    "ce1": lambda: serialize_instance(_ce1()),
+    "random-equitable": lambda: serialize_instance(_random_equitable()),
+    "x3c-graphical-n1": _x3c_graphical,
+}
+
+
+def digest(instance: str, command: str, directory: Path) -> str:
+    path = directory / f"{instance}.json"
+    if not path.exists():
+        path.write_text(INSTANCES[instance](), encoding="utf-8")
+    result = run(COMMANDS[command] + [str(path)])
+    text = json.dumps(result.payload, indent=2)
+    return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()} exit={result.exit_code}"
+
+
+@pytest.mark.parametrize("instance", sorted(INSTANCES))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_golden_output(tmp_path, instance, command):
+    assert digest(instance, command, tmp_path) == GOLDEN[instance, command]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for instance in sorted(INSTANCES):
+            for command in sorted(COMMANDS):
+                value = digest(instance, command, Path(scratch))
+                sys.stdout.write(f"    ({instance!r}, {command!r}): {value!r},\n")
