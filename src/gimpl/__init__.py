@@ -18,7 +18,6 @@ from .model import (
     RectRegion,
     expand_graphical,
     expand_graphical_promise,
-    modified_utility,
 )
 from .oracle import OracleResult, oracle_min_budget, oracle_zero_cost
 from .solver import (
@@ -62,7 +61,6 @@ __all__ = [
     "is_equitable",
     "is_pne",
     "min_budget_solve",
-    "modified_utility",
     "oracle_min_budget",
     "oracle_zero_cost",
     "parse_instance",

@@ -43,24 +43,12 @@ def dominates(
     return DominanceWitness(player, x, y, strict)
 
 
-def _beats(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
-    strict = False
-    for opp in view.opponent_profiles(player):
-        px = view.payoff(player, x, opp)
-        py = view.payoff(player, y, opp)
-        if px < py:
-            return False
-        if not strict and py < px:
-            strict = True
-    return strict
-
-
 def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
     """Strategies of ``player`` that no other strategy dominates."""
     size = view.sizes[player]
     kept = []
     for y in range(size):
-        if not any(_beats(view, player, x, y) for x in range(size) if x != y):
+        if not any(dominates(view, player, x, y) is not None for x in range(size) if x != y):
             kept.append(y)
     return tuple(kept)
 
@@ -76,6 +64,6 @@ def find_dominator(view: ModifiedGameView, player: int, y: int) -> int:
     Raises ValueError when ``y`` is itself undominated.
     """
     for x in undominated(view, player):
-        if x != y and _beats(view, player, x, y):
+        if x != y and dominates(view, player, x, y) is not None:
             return x
     raise ValueError(f"strategy {y} of player {player} is undominated")

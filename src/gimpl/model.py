@@ -22,6 +22,9 @@ from .values import ZERO, ExtValue, ValueLike
 Profile = tuple[int, ...]
 LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical games
 
+# Largest number of full strategy profiles ``expand_graphical`` enumerates.
+MAX_PROFILES = 2**16
+
 
 def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> Profile:
     prof = tuple(profile)
@@ -55,6 +58,41 @@ def _canonical_table(
     return table
 
 
+def _check_players(
+    players: Iterable[str], strategies: Iterable[Iterable[str]], tables: Sequence[object]
+) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """Names and strategy lists of a game, checked against one table per player."""
+    names = tuple(players)
+    strats = tuple(tuple(s) for s in strategies)
+    if not names:
+        raise ValueError("a game needs at least one player")
+    if len(strats) != len(names):
+        raise ValueError("players and strategy lists disagree in length")
+    for i, options in enumerate(strats):
+        if not options:
+            raise ValueError(f"player {i} has no strategies")
+    if len(tables) != len(names):
+        raise ValueError("one utility table per player is required")
+    return names, strats
+
+
+def _max_utility(tables: Iterable[tuple[Mapping[tuple[int, ...], ExtValue], int]]) -> ExtValue:
+    """Largest value over (sparse table, full table size) pairs, counting the
+    implicit 0 of every table that leaves some entry unset."""
+    values = []
+    for table, full in tables:
+        values.extend(table.values())
+        if len(table) < full:
+            values.append(ZERO)
+    return max(values, default=ZERO)
+
+
+def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
+    """The full profile in which ``player`` plays ``strategy`` against the
+    joint choice ``opp`` of all other players."""
+    return opp[:player] + (strategy,) + opp[player:]
+
+
 @dataclass(frozen=True)
 class Game:
     """A finite normal-form game with exact rational utilities.
@@ -74,17 +112,7 @@ class Game:
         strategies: Iterable[Iterable[str]],
         utilities: Sequence[Mapping[Sequence[int], ValueLike] | None],
     ) -> "Game":
-        names = tuple(players)
-        strats = tuple(tuple(s) for s in strategies)
-        if not names:
-            raise ValueError("a game needs at least one player")
-        if len(strats) != len(names):
-            raise ValueError("players and strategy lists disagree in length")
-        for i, options in enumerate(strats):
-            if not options:
-                raise ValueError(f"player {i} has no strategies")
-        if len(utilities) != len(names):
-            raise ValueError("one utility table per player is required")
+        names, strats = _check_players(players, strategies, utilities)
         sizes = tuple(len(s) for s in strats)
         tables = tuple(
             _canonical_table(
@@ -111,14 +139,8 @@ class Game:
 
     def max_utility(self) -> ExtValue:
         """Largest utility any player receives anywhere (0 for unset entries)."""
-        best = ZERO if any(
-            len(table) < _product(self.sizes) for table in self.utilities
-        ) else None
-        for table in self.utilities:
-            for value in table.values():
-                if best is None or best < value:
-                    best = value
-        return best if best is not None else ZERO
+        full = _product(self.sizes)
+        return _max_utility((table, full) for table in self.utilities)
 
 
 def _product(sizes: Iterable[int]) -> int:
@@ -151,15 +173,7 @@ class GraphicalGame:
         edges: Iterable[Sequence[int]],
         local_utilities: Sequence[Mapping[Sequence[int], ValueLike] | None],
     ) -> "GraphicalGame":
-        names = tuple(players)
-        strats = tuple(tuple(s) for s in strategies)
-        if not names:
-            raise ValueError("a game needs at least one player")
-        if len(strats) != len(names):
-            raise ValueError("players and strategy lists disagree in length")
-        for i, options in enumerate(strats):
-            if not options:
-                raise ValueError(f"player {i} has no strategies")
+        names, strats = _check_players(players, strategies, local_utilities)
         n = len(names)
         canon_edges: set[tuple[int, int]] = set()
         for edge in edges:
@@ -175,8 +189,6 @@ class GraphicalGame:
             ngb[b].append(a)
         neighborhoods = tuple(tuple(sorted(js)) for js in ngb)
         sizes = tuple(len(s) for s in strats)
-        if len(local_utilities) != n:
-            raise ValueError("one utility table per player is required")
         tables = []
         for i in range(n):
             local_sizes = (sizes[i],) + tuple(sizes[j] for j in neighborhoods[i])
@@ -212,17 +224,11 @@ class GraphicalGame:
         return itertools.product(*(range(n) for n in self.sizes))
 
     def max_utility(self) -> ExtValue:
-        best: ExtValue | None = None
-        for i, table in enumerate(self.local_utilities):
-            covered = len(table) >= _product(
-                (self.sizes[i],) + tuple(self.sizes[j] for j in self.neighborhoods[i])
-            )
-            if not covered and (best is None or best < ZERO):
-                best = ZERO
-            for value in table.values():
-                if best is None or best < value:
-                    best = value
-        return best if best is not None else ZERO
+        sizes = self.sizes
+        return _max_utility(
+            (table, sizes[i] * _product(sizes[j] for j in self.neighborhoods[i]))
+            for i, table in enumerate(self.local_utilities)
+        )
 
 
 AnyGame = Union[Game, GraphicalGame]
@@ -339,6 +345,7 @@ class ModifiedGameView:
             if len(promise.entries) != game.n_players:
                 raise ValueError("promise and game disagree on the number of players")
         self.promise = promise
+        self._utilities = game.local_utilities if self.graphical else game.utilities
 
     @property
     def n_players(self) -> int:
@@ -368,15 +375,12 @@ class ModifiedGameView:
         profile for normal form, the local key for graphical games."""
         if self.graphical:
             return (strategy,) + opp
-        return opp[:player] + (strategy,) + opp[player:]
+        return _embed(opp, player, strategy)
 
     def payoff(self, player: int, strategy: int, opp: tuple[int, ...]) -> ExtValue:
         """Modified utility of ``player`` for ``strategy`` against ``opp``."""
         key = self.key_of(player, strategy, opp)
-        if self.graphical:
-            base = self.game.local_utilities[player].get(key, ZERO)
-        else:
-            base = self.game.utilities[player].get(key, ZERO)
+        base = self._utilities[player].get(key, ZERO)
         if self.promise is None:
             return base
         bonus = self.promise.entries[player].get(key)
@@ -384,53 +388,49 @@ class ModifiedGameView:
 
     def modified_utility(self, player: int, profile: Profile) -> ExtValue:
         """Modified utility at a full strategy profile."""
-        if self.graphical:
-            key = self.game.local_key(player, profile)
-            base = self.game.local_utilities[player].get(key, ZERO)
-        else:
-            key = profile
-            base = self.game.utilities[player].get(key, ZERO)
-        if self.promise is None:
-            return base
-        bonus = self.promise.entries[player].get(key)
-        return base if bonus is None else base + bonus
+        opp = tuple(profile[j] for j in self.opponents(player))
+        return self.payoff(player, profile[player], opp)
 
     def promise_at(self, player: int, profile: Profile) -> ExtValue:
         """Promised payment to ``player`` at a full strategy profile."""
         if self.promise is None:
             return ZERO
-        if self.graphical:
-            key = self.game.local_key(player, profile)
-        else:
-            key = profile
+        key = self.game.local_key(player, profile) if self.graphical else profile
         return self.promise.entries[player].get(key, ZERO)
 
 
-def modified_utility(view: ModifiedGameView, player: int, profile: Profile) -> ExtValue:
-    """Pointwise sum of utility and promise at ``profile``."""
-    return view.modified_utility(player, profile)
+def _flatten(
+    gg: GraphicalGame, local_tables: Sequence[Mapping[LocalKey, ExtValue]]
+) -> list[dict[Profile, ExtValue]]:
+    """Neighborhood-local tables rewritten over full strategy profiles.
+
+    The rewrite is exponential in the number of players, so games with more
+    than ``MAX_PROFILES`` full profiles are refused before any enumeration.
+    """
+    count = _product(gg.sizes)
+    if count > MAX_PROFILES:
+        raise ValueError(
+            f"graphical game has {count} full strategy profiles, above the "
+            f"{MAX_PROFILES} expansion cap"
+        )
+    tables: list[dict[Profile, ExtValue]] = [{} for _ in local_tables]
+    for profile in gg.profiles():
+        for i, local in enumerate(local_tables):
+            value = local.get(gg.local_key(i, profile), ZERO)
+            if value != ZERO:
+                tables[i][profile] = value
+    return tables
 
 
 def expand_graphical(gg: GraphicalGame) -> Game:
-    """Flatten a graphical game to normal form over full strategy profiles."""
-    tables: list[dict[Profile, ExtValue]] = [{} for _ in range(gg.n_players)]
-    for profile in gg.profiles():
-        for i in range(gg.n_players):
-            value = gg.local_utility(i, gg.local_key(i, profile))
-            if value != ZERO:
-                tables[i][profile] = value
-    return Game.make(gg.players, gg.strategies, tables)
+    """Flatten a graphical game to normal form over full strategy profiles;
+    raises ValueError above ``MAX_PROFILES`` profiles."""
+    return Game.make(gg.players, gg.strategies, _flatten(gg, gg.local_utilities))
 
 
 def expand_graphical_promise(gg: GraphicalGame, promise: PaymentPromise) -> PaymentPromise:
     """Rewrite a neighborhood-local promise over full strategy profiles."""
     if promise.kind != "graphical":
         raise ValueError("expected a graphical promise")
-    normal = expand_graphical(gg)
-    tables: list[dict[Profile, ExtValue]] = [{} for _ in range(gg.n_players)]
-    for profile in gg.profiles():
-        for i in range(gg.n_players):
-            value = promise.value(i, gg.local_key(i, profile))
-            if value != ZERO:
-                tables[i][profile] = value
-    return PaymentPromise.make(normal, tables)
+    normal = Game.make(gg.players, gg.strategies, [None] * gg.n_players)
+    return PaymentPromise.make(normal, _flatten(gg, promise.entries))

@@ -21,6 +21,7 @@ from .model import (
     PaymentPromise,
     Profile,
     RectRegion,
+    _embed,
 )
 from .solver import DominatorMapping
 from .values import INF, ZERO, ExtValue
@@ -41,10 +42,6 @@ def _require_normal(game):
     if isinstance(game, GraphicalGame):
         raise ValueError("the oracle works on normal-form games; expand the graphical game first")
     return game
-
-
-def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
-    return opp[:player] + (strategy,) + opp[player:]
 
 
 def _promise_for(game: Game, region: RectRegion, mapping: DominatorMapping) -> PaymentPromise:

@@ -3,10 +3,14 @@
 The search enumerates, for every player, all ways of assigning each
 undesired strategy to a desired strategy meant to dominate it, prices each
 joint assignment by the worst-case payment over the desired region, and
-keeps the cheapest. A big-M rewrite then turns any implementation into an
+keeps the cheapest. That price, ``delta``, is taken over the whole desired
+region, while cost binds only on the undominated region, so ``delta`` is an
+upper bound on the minimum cost and can exceed the verified cost of the
+returned promise. A big-M rewrite then turns any implementation into an
 exact one on region shapes that leave every desired strategy a private
-off-region profile. Zero-budget implementability is characterized by a
-stability check of the desired region itself.
+off-region profile. The stability check ``is_pne`` decides whether the full
+desired region prices at ``delta = 0``; a region can still be implementable
+at zero cost without passing it.
 
 Everything operates on normal-form games; expand graphical games first.
 """
@@ -17,7 +21,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .checking import verify
 from .model import (
@@ -28,6 +32,7 @@ from .model import (
     PaymentPromise,
     Profile,
     RectRegion,
+    _embed,
 )
 from .values import INF, ZERO, ExtValue
 
@@ -89,8 +94,44 @@ def _require_normal(game: AnyGame) -> Game:
     return game
 
 
-def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
-    return opp[:player] + (strategy,) + opp[player:]
+# positions in the desired-profile list and the utility gap at each
+_Gaps = tuple[list[int], list[Fraction]]
+
+
+def _gaps(
+    game: Game, player: int, pairs: Iterable[tuple[int, int]], desired_profiles: Sequence[Profile]
+) -> dict[tuple[int, int], _Gaps]:
+    """Utility gaps of ``player`` over the desired profiles.
+
+    For each pair ``(x, t)`` the result holds the indices of the desired
+    profiles ``o`` in which the player's own strategy is ``t`` and, at each,
+    the gap ``u_i(x, o_-i) - u_i(o)``.
+    """
+    positions: dict[int, list[int]] = {}
+    for idx, o in enumerate(desired_profiles):
+        positions.setdefault(o[player], []).append(idx)
+    utility = game.utilities[player].get
+    result: dict[tuple[int, int], _Gaps] = {}
+    for x, t in pairs:
+        at = positions[t]
+        values = []
+        for idx in at:
+            o = desired_profiles[idx]
+            x_profile = _embed(o[:player] + o[player + 1 :], player, x)
+            values.append((utility(x_profile, ZERO) - utility(o, ZERO)).fraction)
+        result[x, t] = at, values
+    return result
+
+
+def _fold(vec: tuple[Fraction | None, ...], gaps: _Gaps) -> tuple[Fraction | None, ...]:
+    """``vec`` raised pointwise to the gaps at their positions; None is below
+    every gap and stands for "no assigned strategy maps here"."""
+    new = list(vec)
+    positions, values = gaps
+    for idx, g in zip(positions, values):
+        if new[idx] is None or new[idx] < g:
+            new[idx] = g
+    return tuple(new)
 
 
 def compute_v(
@@ -115,26 +156,14 @@ def compute_v(
             raise ValueError(f"strategy {x} of player {player} is desired, not in the domain")
         if target not in desired_i:
             raise ValueError(f"target {target} of player {player} is not desired")
-    preimages: dict[int, list[int]] = {}
-    for x, target in sorted(assignment.items()):
-        preimages.setdefault(target, []).append(x)
-    table: dict[Profile, ExtValue] = {}
-    opp_axes = [region.sets[j] for j in range(game.n_players) if j != player]
-    for o_i in region.sets[player]:
-        sources = preimages.get(o_i, [])
-        for opp in itertools.product(*opp_axes):
-            profile = _embed(opp, player, o_i)
-            if not sources:
-                table[profile] = ZERO
-                continue
-            base = game.utility(player, profile)
-            best = ZERO
-            for x in sources:
-                gap = game.utility(player, _embed(opp, player, x)) - base
-                if best < gap:
-                    best = gap
-            table[profile] = best
-    return table
+    desired_profiles = list(region.profiles())
+    vec: tuple[Fraction | None, ...] = (None,) * len(desired_profiles)
+    for gaps in _gaps(game, player, assignment.items(), desired_profiles).values():
+        vec = _fold(vec, gaps)
+    return {
+        o: ExtValue(v) if v is not None and v > 0 else ZERO
+        for o, v in zip(desired_profiles, vec)
+    }
 
 
 def _candidate_space(game: Game, region: RectRegion) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -146,15 +175,14 @@ def _candidate_space(game: Game, region: RectRegion) -> tuple[list[tuple[int, ..
     return domains, radices
 
 
-def _candidate_targets(region: RectRegion, player: int, k: int, index: int) -> tuple[int, ...]:
-    """The index-th assignment for one player, big-endian over the desired
-    set, matching the enumeration order of ``itertools.product``."""
-    options = region.sets[player]
+def _digits(index: int, radices: Sequence[int]) -> list[int]:
+    """Mixed-radix digits of ``index``, most significant first: the position
+    of ``index`` in the enumeration order of ``itertools.product``."""
     digits = []
-    for _ in range(k):
-        index, digit = divmod(index, len(options))
-        digits.append(options[digit])
-    return tuple(reversed(digits))
+    for radix in reversed(radices):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return digits[::-1]
 
 
 def _payment_vectors(
@@ -169,32 +197,12 @@ def _payment_vectors(
     desired_profiles = list(region.profiles())
     per_player: list[list[tuple[Fraction | None, ...]]] = []
     for i in range(game.n_players):
-        others = domains[i]
-        # gap[k][o] = utility of undesired strategy others[k] minus utility of
-        # the desired profile o, both against o's opponent part
-        gaps: list[list[Fraction]] = []
-        for x in others:
-            row = []
-            for o in desired_profiles:
-                opp = o[:i] + o[i + 1 :]
-                diff = game.utility(i, _embed(opp, i, x)) - game.utility(i, o)
-                row.append(diff.fraction)
-            gaps.append(row)
-        prefix: list[tuple[Fraction | None, ...]] = [tuple([None] * len(desired_profiles))]
-        for k in range(len(others)):
-            extended: list[tuple[Fraction | None, ...]] = []
-            for vec in prefix:
-                for target in region.sets[i]:
-                    new = list(vec)
-                    row = gaps[k]
-                    for idx, o in enumerate(desired_profiles):
-                        if o[i] != target:
-                            continue
-                        g = row[idx]
-                        if new[idx] is None or new[idx] < g:
-                            new[idx] = g
-                    extended.append(tuple(new))
-            prefix = extended
+        targets = region.sets[i]
+        gaps = _gaps(game, i, itertools.product(domains[i], targets), desired_profiles)
+        prefix: list[tuple[Fraction | None, ...]] = [(None,) * len(desired_profiles)]
+        for x in domains[i]:
+            choices = [gaps[x, t] for t in targets]
+            prefix = [_fold(vec, choice) for vec in prefix for choice in choices]
         per_player.append(prefix)
     return desired_profiles, per_player
 
@@ -204,7 +212,7 @@ def _scan_assignments(
 ) -> tuple[Fraction, int] | None:
     """Search one contiguous slice of the joint assignment space; return the
     cheapest worst-case payment and the first index achieving it."""
-    domains, radices = _candidate_space(game, region)
+    domains, _ = _candidate_space(game, region)
     desired_profiles, vectors = _payment_vectors(game, region, domains)
     n = game.n_players
     n_profiles = len(desired_profiles)
@@ -212,13 +220,8 @@ def _scan_assignments(
 
     best: Fraction | None = None
     best_index = -1
-    for g in range(start, stop):
-        rest = g
-        digits = [0] * n
-        for i in range(n - 1, -1, -1):
-            digits[i] = rest % radices[i]
-            rest //= radices[i]
-        chosen = [vectors[i][digits[i]] for i in range(n)]
+    joint = itertools.islice(itertools.product(*vectors), start, stop)
+    for g, chosen in enumerate(joint, start):
         worst = zero
         abandoned = False
         for idx in range(n_profiles):
@@ -242,6 +245,29 @@ def _scan_assignments(
 
 def _scan_chunk(args: tuple[Game, RectRegion, int, int]) -> tuple[Fraction, int] | None:
     return _scan_assignments(*args)
+
+
+def _off_region(
+    view: ModifiedGameView, region: RectRegion, player: int
+) -> Iterator[tuple[int, ...]]:
+    """Opponent parts of ``player`` in which some opponent plays outside the
+    region, in opponent-profile order."""
+    desired = [set(region.sets[j]) for j in view.opponents(player)]
+    for opp in view.opponent_profiles(player):
+        if not all(s in d for s, d in zip(opp, desired)):
+            yield opp
+
+
+def _infinite_off_region(
+    view: ModifiedGameView, region: RectRegion, player: int
+) -> dict[tuple[int, ...], ExtValue]:
+    """Infinite payments on the player's desired rows against every
+    off-region opponent part."""
+    return {
+        view.key_of(player, p, opp): INF
+        for opp in _off_region(view, region, player)
+        for p in region.sets[player]
+    }
 
 
 def min_budget_solve(
@@ -289,34 +315,26 @@ def min_budget_solve(
         assert found is not None  # the assignment space is never empty
         best, best_index = found
 
-    digits = [0] * game.n_players
-    rest = best_index
-    for i in range(game.n_players - 1, -1, -1):
-        digits[i] = rest % radices[i]
-        rest //= radices[i]
     mapping = DominatorMapping(
-        domains=tuple(tuple(d) for d in domains),
+        domains=tuple(domains),
         targets=tuple(
-            _candidate_targets(region, i, len(domains[i]), digits[i])
-            for i in range(game.n_players)
+            tuple(
+                region.sets[i][d]
+                for d in _digits(digit, [len(region.sets[i])] * len(domains[i]))
+            )
+            for i, digit in enumerate(_digits(best_index, radices))
         ),
     )
 
+    view = ModifiedGameView(game)
     tables: list[dict[Profile, ExtValue]] = []
-    desired_sets = [set(members) for members in region.sets]
     for i in range(game.n_players):
         table = {
             profile: value
             for profile, value in compute_v(game, i, mapping.mapping_for(i), region).items()
             if value != ZERO
         }
-        opp_axes = [range(game.sizes[j]) for j in range(game.n_players) if j != i]
-        opp_players = [j for j in range(game.n_players) if j != i]
-        for opp in itertools.product(*opp_axes):
-            if all(s in desired_sets[j] for s, j in zip(opp, opp_players)):
-                continue
-            for o_i in region.sets[i]:
-                table[_embed(opp, i, o_i)] = INF
+        table.update(_infinite_off_region(view, region, i))
         tables.append(table)
 
     promise = PaymentPromise.make(game, tables)
@@ -373,7 +391,7 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
         raise ValueError("promise does not implement the desired region")
 
     big_m = game.max_utility() + delta + ExtValue(1)
-    desired_sets = [set(members) for members in region.sets]
+    view = ModifiedGameView(game)
     tables: list[dict[Profile, ExtValue]] = []
     for i in range(game.n_players):
         table: dict[Profile, ExtValue] = {}
@@ -381,21 +399,11 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
             value = promise.value(i, o)
             if value != ZERO:
                 table[o] = value
-        opp_players = [j for j in range(game.n_players) if j != i]
-        off_region = (
-            opp
-            for opp in itertools.product(*(range(game.sizes[j]) for j in opp_players))
-            if not all(s in desired_sets[j] for s, j in zip(opp, opp_players))
-        )
-        chosen: dict[int, tuple[int, ...]] = {}
-        for o_i in region.sets[i]:
-            chosen[o_i] = next(off_region)
-        for o_i in region.sets[i]:
-            private = chosen[o_i]
-            for opp in itertools.product(*(range(game.sizes[j]) for j in opp_players)):
-                if all(s in desired_sets[j] for s, j in zip(opp, opp_players)):
-                    continue
-                profile = _embed(opp, i, o_i)
+        off_region = list(_off_region(view, region, i))
+        # equitability leaves at least one private off-region part per desired strategy
+        for o_i, private in zip(region.sets[i], off_region):
+            for opp in off_region:
+                profile = view.key_of(i, o_i, opp)
                 base = game.utility(i, profile)
                 bonus = big_m + 1 - base if opp == private else big_m - base
                 table[profile] = bonus
@@ -478,18 +486,5 @@ def zero_cost_promise(
         raise ValueError(
             f"not a promise-Nash equilibrium: strategy {x} of player {i} has no desired counter"
         )
-    base = view.game
-    tables: list[dict[tuple[int, ...], ExtValue]] = []
-    for i in range(base.n_players):
-        opp_players = view.opponents(i)
-        off_exists = any(not region.is_full_for(base, j) for j in opp_players)
-        table: dict[tuple[int, ...], ExtValue] = {}
-        if off_exists:
-            desired_opp = [set(region.sets[j]) for j in opp_players]
-            for opp in view.opponent_profiles(i):
-                if all(s in d for s, d in zip(opp, desired_opp)):
-                    continue
-                for p in region.sets[i]:
-                    table[view.key_of(i, p, opp)] = INF
-        tables.append(table)
-    return PaymentPromise.make(base, tables)
+    tables = [_infinite_off_region(view, region, i) for i in range(view.n_players)]
+    return PaymentPromise.make(view.game, tables)

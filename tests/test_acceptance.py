@@ -28,7 +28,7 @@ from gimpl import (
     verify,
 )
 from gimpl.cli import run
-from gimpl.domination import _beats
+from gimpl.domination import dominates
 from gimpl.instancefmt import InstanceDoc, serialize_instance
 from gimpl.reductions import (
     brute_coloring,
@@ -112,7 +112,7 @@ def test_criterion_04_domination_property_suite():
         for i in range(game.n_players):
             size = game.sizes[i]
             dom = {
-                (x, y): _beats(view, i, x, y)
+                (x, y): dominates(view, i, x, y) is not None
                 for x in range(size)
                 for y in range(size)
                 if x != y

@@ -220,6 +220,27 @@ def test_solve_expands_graphical_instances(tmp_path):
     assert run(["verify", str(out)]).status == "yes"
 
 
+def test_graphical_expansion_above_profile_cap_is_refused(tmp_path):
+    # 18 players with 2 strategies each: 2**18 full profiles, above the cap
+    generated = run(
+        ["gen", "x3c", "--n", "3", "--seed", "7", "--force", "yes", "--target", "graphical"]
+    )
+    assert generated.status == "yes"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(generated.payload), encoding="utf-8")
+    assert run(["analyze", str(path)]).status == "yes"  # works on the graph directly
+    for command in (["solve", "--jobs", "1"], ["oracle"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gimpl.cli", *command, str(path)],
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and "262144" in lines[0]
+        assert json.loads(proc.stdout)["status"] == "error"
+
+
 def test_gen_seed_env_override(monkeypatch):
     monkeypatch.setenv("GIMPL_SEED", "7")
     with_env = run(["gen", "x3c", "--n", "2", "--force", "yes"])

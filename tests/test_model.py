@@ -16,7 +16,6 @@ from gimpl import (
     RectRegion,
     expand_graphical,
     expand_graphical_promise,
-    modified_utility,
 )
 
 from _support import random_game
@@ -61,14 +60,14 @@ def test_promise_rejects_negative_values():
 
 def test_modified_utility_examples(ex1, ex1_promise):
     view = ModifiedGameView(ex1, ex1_promise)
-    assert modified_utility(view, 0, (0, 0)) == ExtValue(2)  # 1 + 1
-    assert modified_utility(view, 1, (0, 0)) == ExtValue("11/10")
+    assert view.modified_utility(0, (0, 0)) == ExtValue(2)  # 1 + 1
+    assert view.modified_utility(1, (0, 0)) == ExtValue("11/10")
     plain = ModifiedGameView(ex1)
     for profile in ex1.profiles():
         for i in range(2):
-            assert modified_utility(plain, i, profile) == ex1.utility(i, profile)
+            assert plain.modified_utility(i, profile) == ex1.utility(i, profile)
     spiked = PaymentPromise.make(ex1, [{(2, 1): "inf"}, {}])
-    assert modified_utility(ModifiedGameView(ex1, spiked), 0, (2, 1)) == INF
+    assert ModifiedGameView(ex1, spiked).modified_utility(0, (2, 1)) == INF
 
 
 def test_promise_kind_must_match_game(ex1):
