@@ -111,11 +111,10 @@ def _cmd_solve(args) -> CommandResult:
     game = doc.game
     if isinstance(game, GraphicalGame):
         game = expand_graphical(game)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if args.exactify:
-        result = solve_exact(game, doc.region, jobs=jobs)
+        result = solve_exact(game, doc.region)
     else:
-        result = min_budget_solve(game, doc.region, jobs=jobs)
+        result = min_budget_solve(game, doc.region)
     solved = InstanceDoc(
         game=game, region=doc.region, budget=result.delta, promise=result.promise
     )
@@ -269,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="minimum-budget implementation search")
     p.add_argument("instance")
     p.add_argument("--exactify", action="store_true", help="rewrite into an exact implementation")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: all processors)")
+    p.add_argument("--jobs", type=int, default=None, help="accepted and ignored; the search is serial")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("pne", help="promise-Nash-equilibrium check for the region")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .values import ZERO, ExtValue, ValueLike
@@ -127,7 +128,7 @@ class Game:
     def n_players(self) -> int:
         return len(self.players)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strategies)
 
@@ -204,7 +205,7 @@ class GraphicalGame:
     def n_players(self) -> int:
         return len(self.players)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strategies)
 

@@ -1,16 +1,21 @@
 """Minimum-budget implementation search and its companions.
 
-The search enumerates, for every player, all ways of assigning each
-undesired strategy to a desired strategy meant to dominate it, prices each
-joint assignment by the worst-case payment over the desired region, and
-keeps the cheapest. That price, ``delta``, is taken over the whole desired
-region, while cost binds only on the undominated region, so ``delta`` is an
-upper bound on the minimum cost and can exceed the verified cost of the
-returned promise. A big-M rewrite then turns any implementation into an
-exact one on region shapes that leave every desired strategy a private
-off-region profile. The stability check ``is_pne`` decides whether the full
-desired region prices at ``delta = 0``; a region can still be implementable
-at zero cost without passing it.
+The search assigns, for every player, each undesired strategy to a desired
+strategy meant to dominate it, prices each joint assignment by the
+worst-case payment over the desired region, and keeps the cheapest. It is
+an exact branch and bound over the assignment digits in integer arithmetic
+(utility gaps scaled by the least common multiple of their denominators):
+a branch is dropped as soon as a lower bound on its prices reaches the best
+price found, and only strict improvements count, so it returns the same
+assignment as a full scan in enumeration order. That price, ``delta``, is
+taken over the whole desired region, while cost binds only on the
+undominated region, so ``delta`` is an upper bound on the minimum cost and
+can exceed the verified cost of the returned promise. A big-M rewrite then
+turns any implementation into an exact one on region shapes that leave
+every desired strategy a private off-region profile. The stability check
+``is_pne`` decides whether the full desired region prices at
+``delta = 0``; a region can still be implementable at zero cost without
+passing it.
 
 Everything operates on normal-form games; expand graphical games first.
 """
@@ -18,7 +23,7 @@ Everything operates on normal-form games; expand graphical games first.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -34,11 +39,7 @@ from .model import (
     RectRegion,
     _embed,
 )
-from .values import INF, ZERO, ExtValue
-
-# Below this many joint assignments the process-pool overhead outweighs the
-# search itself; the serial and parallel paths return identical results.
-_PARALLEL_THRESHOLD = 4096
+from .values import INF, ZERO, ExtValue, ValueLike
 
 # Default refusal threshold for the exhaustive search. Hard instances blow
 # past any cap by design; failing fast beats dying on memory mid-enumeration.
@@ -123,17 +124,6 @@ def _gaps(
     return result
 
 
-def _fold(vec: tuple[Fraction | None, ...], gaps: _Gaps) -> tuple[Fraction | None, ...]:
-    """``vec`` raised pointwise to the gaps at their positions; None is below
-    every gap and stands for "no assigned strategy maps here"."""
-    new = list(vec)
-    positions, values = gaps
-    for idx, g in zip(positions, values):
-        if new[idx] is None or new[idx] < g:
-            new[idx] = g
-    return tuple(new)
-
-
 def compute_v(
     game: Game,
     player: int,
@@ -157,13 +147,12 @@ def compute_v(
         if target not in desired_i:
             raise ValueError(f"target {target} of player {player} is not desired")
     desired_profiles = list(region.profiles())
-    vec: tuple[Fraction | None, ...] = (None,) * len(desired_profiles)
-    for gaps in _gaps(game, player, assignment.items(), desired_profiles).values():
-        vec = _fold(vec, gaps)
-    return {
-        o: ExtValue(v) if v is not None and v > 0 else ZERO
-        for o, v in zip(desired_profiles, vec)
-    }
+    lift = [Fraction(0)] * len(desired_profiles)
+    for positions, values in _gaps(game, player, assignment.items(), desired_profiles).values():
+        for idx, g in zip(positions, values):
+            if lift[idx] < g:
+                lift[idx] = g
+    return {o: ExtValue(v) if v else ZERO for o, v in zip(desired_profiles, lift)}
 
 
 def _candidate_space(game: Game, region: RectRegion) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -175,76 +164,163 @@ def _candidate_space(game: Game, region: RectRegion) -> tuple[list[tuple[int, ..
     return domains, radices
 
 
-def _digits(index: int, radices: Sequence[int]) -> list[int]:
-    """Mixed-radix digits of ``index``, most significant first: the position
-    of ``index`` in the enumeration order of ``itertools.product``."""
-    digits = []
-    for radix in reversed(radices):
-        index, digit = divmod(index, radix)
-        digits.append(digit)
-    return digits[::-1]
-
-
 def _payment_vectors(
     game: Game, region: RectRegion, domains: Sequence[tuple[int, ...]]
-) -> tuple[list[Profile], list[list[tuple[Fraction | None, ...]]]]:
-    """Per player, one worst-payment vector over the desired region for every
-    candidate assignment, in assignment enumeration order.
+) -> tuple[list[Profile], list[list[list[int]]], int]:
+    """Per player, one payment vector over the desired profiles for every
+    (undesired, target) option, in ``itertools.product(domain, targets)``
+    order, and the common scale of all vectors.
 
-    Vector entries are the unclamped best utility gaps (None when no
-    assigned strategy maps there); clamping at zero happens when summing.
+    An option's vector holds, at the profiles whose own strategy is the
+    target, the utility gap of the undesired strategy clamped at zero, and
+    zero elsewhere. Entries are ints: the gap times the scale, which is the
+    least common multiple of the positive gaps' denominators.
     """
     desired_profiles = list(region.profiles())
-    per_player: list[list[tuple[Fraction | None, ...]]] = []
-    for i in range(game.n_players):
-        targets = region.sets[i]
-        gaps = _gaps(game, i, itertools.product(domains[i], targets), desired_profiles)
-        prefix: list[tuple[Fraction | None, ...]] = [(None,) * len(desired_profiles)]
-        for x in domains[i]:
-            choices = [gaps[x, t] for t in targets]
-            prefix = [_fold(vec, choice) for vec in prefix for choice in choices]
-        per_player.append(prefix)
-    return desired_profiles, per_player
+    per_player_gaps = [
+        _gaps(game, i, itertools.product(domains[i], region.sets[i]), desired_profiles)
+        for i in range(game.n_players)
+    ]
+    scale = math.lcm(
+        *(
+            g.denominator
+            for gaps in per_player_gaps
+            for _, values in gaps.values()
+            for g in values
+            if g > 0
+        )
+    )
+    zero = [0] * len(desired_profiles)
+    per_player = []
+    for gaps in per_player_gaps:
+        options = []
+        for positions, values in gaps.values():
+            vec = zero.copy()
+            for idx, g in zip(positions, values):
+                if g > 0:
+                    vec[idx] = g.numerator * (scale // g.denominator)
+            options.append(vec)
+        per_player.append(options)
+    return desired_profiles, per_player, scale
+
+
+def _pointwise_max(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return [x if x > y else y for x, y in zip(a, b)]
 
 
 def _scan_assignments(
     game: Game, region: RectRegion, start: int, stop: int
-) -> tuple[Fraction, int] | None:
-    """Search one contiguous slice of the joint assignment space; return the
-    cheapest worst-case payment and the first index achieving it."""
+) -> tuple[Fraction, list[list[int]], list[dict[Profile, ValueLike]]]:
+    """Branch and bound over the joint assignment space, which ``[start,
+    stop)`` must cover whole.
+
+    Returns the cheapest worst-case payment over the desired region, the
+    first assignment in enumeration order that achieves it (per player, the
+    position in the desired set of each undesired strategy's target) and
+    each player's nonzero payments under that assignment.
+
+    An assignment is a string of digits, one per undesired strategy, read in
+    enumeration order. A player's payment vector is the pointwise max of its
+    chosen option vectors, and an assignment's price is the largest entry of
+    the players' sum; all entries are nonnegative. The search runs depth
+    first and drops a branch once a lower bound on its prices reaches the
+    best price found. The bound is the largest of: the price of the digits
+    fixed so far, and, for each open digit, the cheapest of its options laid
+    on top of them. Only strict improvements replace the best, so the first
+    optimum in enumeration order is the one returned. Players with one
+    desired strategy have nothing to choose and enter as a constant.
+    """
     domains, _ = _candidate_space(game, region)
-    desired_profiles, vectors = _payment_vectors(game, region, domains)
+    desired_profiles, per_player, scale = _payment_vectors(game, region, domains)
     n = game.n_players
-    n_profiles = len(desired_profiles)
-    zero = Fraction(0)
+    zero = [0] * len(desired_profiles)
+    slots = []  # per player and undesired strategy: its option vectors by target
+    blocks = []  # per player and target: the desired profiles where the player plays it
+    for i, options in enumerate(per_player):
+        width = len(region.sets[i])
+        slots.append([options[k : k + width] for k in range(0, len(options), width)])
+        blocks.append(
+            [[idx for idx, o in enumerate(desired_profiles) if o[i] == t] for t in region.sets[i]]
+        )
+    picks = [[0] * len(domains[i]) for i in range(n)]
 
-    best: Fraction | None = None
-    best_index = -1
-    joint = itertools.islice(itertools.product(*vectors), start, stop)
-    for g, chosen in enumerate(joint, start):
-        worst = zero
-        abandoned = False
-        for idx in range(n_profiles):
-            total = zero
-            for i in range(n):
-                v = chosen[i][idx]
-                if v is not None and v > zero:
-                    total += v
-            if total > worst:
-                worst = total
-                if best is not None and worst >= best:
-                    abandoned = True
-                    break
-        if not abandoned and (best is None or worst < best):
-            best = worst
-            best_index = g
-    if best is None:
-        return None
-    return best, best_index
+    def payments(i: int) -> list[int]:
+        """Player ``i``'s payment vector under ``picks``."""
+        vec = zero
+        for choices, k in zip(slots[i], picks[i]):
+            vec = _pointwise_max(vec, choices[k])
+        return vec
 
+    # the first assignment (every digit 0) seeds the best price
+    best = max(map(sum, zip(*map(payments, range(n)))))
+    base = zero  # the payments of the players with nothing to choose
+    digits: list[tuple[int, int]] = []  # (player, slot) in enumeration order
+    later: list[int] = []  # per digit, the first digit of a later player
+    for i in range(n):
+        if len(region.sets[i]) == 1:
+            base = [a + b for a, b in zip(base, payments(i))]
+        else:
+            digits += [(i, slot) for slot in range(len(slots[i]))]
+            later += [len(digits)] * len(slots[i])
 
-def _scan_chunk(args: tuple[Game, RectRegion, int, int]) -> tuple[Fraction, int] | None:
-    return _scan_assignments(*args)
+    def cheapest(d: int, under: Sequence[int]) -> int:
+        """The least price that fixing digit ``d`` on top of ``under`` forces."""
+        i, slot = digits[d]
+        return min(
+            max([under[idx] + option[idx] for idx in block])
+            for option, block in zip(slots[i][slot], blocks[i])
+        )
+
+    n_digits = len(digits)
+    best_chosen = [0] * n_digits
+    tried = [0] * n_digits  # per depth: the options tried, the last one chosen
+    dones = [base] * n_digits  # per depth: the payments of finished players
+    curs = [zero] * n_digits  # per depth: the current player's vector so far
+    own_rest = [0] * n_digits  # per depth: the bound of the player's later digits
+
+    def enter(d: int) -> None:
+        """Bound the digits of the player starting at depth ``d``."""
+        rest = 0
+        for e in reversed(range(d, later[d])):
+            own_rest[e] = rest
+            rest = max(rest, cheapest(e, dones[d]))
+
+    d = 0 if digits else -1
+    if digits:
+        enter(0)
+    while d >= 0:
+        i, slot = digits[d]
+        choices = slots[i][slot]
+        k = tried[d]
+        if k == len(choices):
+            d -= 1
+            continue
+        tried[d] = k + 1
+        cur = _pointwise_max(curs[d], choices[k])
+        total = [a + c for a, c in zip(dones[d], cur)]
+        bound = max(max(total), own_rest[d])
+        if bound >= best or any(
+            cheapest(e, total) >= best for e in range(later[d], n_digits)
+        ):
+            continue
+        if d + 1 == n_digits:
+            best, best_chosen = bound, [t - 1 for t in tried]
+            continue
+        d += 1
+        tried[d] = 0
+        if digits[d][0] == i:
+            dones[d], curs[d] = dones[d - 1], cur
+        else:
+            dones[d], curs[d] = total, zero
+            enter(d)
+
+    for (i, slot), k in zip(digits, best_chosen):
+        picks[i][slot] = k
+    tables: list[dict[Profile, ValueLike]] = [
+        {o: Fraction(v, scale) for o, v in zip(desired_profiles, payments(i)) if v}
+        for i in range(n)
+    ]
+    return Fraction(best, scale), picks, tables
 
 
 def _off_region(
@@ -279,15 +355,18 @@ def min_budget_solve(
     """Smallest worst-case payment over the desired region that makes every
     undesired strategy dominated, with the promise achieving it.
 
-    Enumerates joint dominator assignments in lexicographic order (players
-    ascending, domain entries by undesired index, values by desired index)
-    and keeps the first strict improvement, so results are deterministic.
-    The returned promise also pays infinity on desired rows against
-    undesired opponent profiles, which is what forces the dominations.
+    Searches joint dominator assignments depth first in lexicographic order
+    (players ascending, domain entries by undesired index, values by desired
+    index) with integer branch and bound, and keeps the first strict
+    improvement: the result is the first optimal assignment in that order,
+    so it is deterministic. The returned promise also pays infinity on
+    desired rows against undesired opponent profiles, which is what forces
+    the dominations.
 
-    The search is exponential in the number of undesired strategies; spaces
-    above ``max_assignments`` are refused up front (pass ``None`` to force
-    the enumeration regardless).
+    The search is exponential in the number of undesired strategies in the
+    worst case; spaces whose raw size (before any pruning) exceeds
+    ``max_assignments`` are refused up front (pass ``None`` to search
+    regardless). ``jobs`` is accepted and ignored; the search is serial.
     """
     game = _require_normal(game)
     region.validate_for(game)
@@ -302,41 +381,17 @@ def min_budget_solve(
             "this exhaustive search is meant for desk-scale instances"
         )
 
-    if jobs > 1 and total >= _PARALLEL_THRESHOLD:
-        chunk = -(-total // jobs)
-        ranges = [
-            (game, region, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [r for r in pool.map(_scan_chunk, ranges) if r is not None]
-        best, best_index = min(results)
-    else:
-        found = _scan_assignments(game, region, 0, total)
-        assert found is not None  # the assignment space is never empty
-        best, best_index = found
-
+    # bench/tracing.py reads the space size from (0, total); keep it until program-side stats
+    best, picks, tables = _scan_assignments(game, region, 0, total)
     mapping = DominatorMapping(
         domains=tuple(domains),
         targets=tuple(
-            tuple(
-                region.sets[i][d]
-                for d in _digits(digit, [len(region.sets[i])] * len(domains[i]))
-            )
-            for i, digit in enumerate(_digits(best_index, radices))
+            tuple(region.sets[i][k] for k in picks[i]) for i in range(game.n_players)
         ),
     )
-
     view = ModifiedGameView(game)
-    tables: list[dict[Profile, ExtValue]] = []
-    for i in range(game.n_players):
-        table = {
-            profile: value
-            for profile, value in compute_v(game, i, mapping.mapping_for(i), region).items()
-            if value != ZERO
-        }
+    for i, table in enumerate(tables):
         table.update(_infinite_off_region(view, region, i))
-        tables.append(table)
-
     promise = PaymentPromise.make(game, tables)
     return SolveResult(
         delta=ExtValue(best), promise=promise, mapping=mapping, exactified=False
@@ -417,12 +472,13 @@ def solve_exact(
     jobs: int = 1,
     max_assignments: int | None = MAX_ASSIGNMENTS,
 ) -> SolveResult:
-    """Minimum-budget search followed by the exactifying rewrite."""
+    """Minimum-budget search followed by the exactifying rewrite; ``jobs``
+    is accepted and ignored."""
     game = _require_normal(game)
     equitable, margins = is_equitable(game, region)
     if not equitable:
         raise ValueError(f"not equitable: per-player margins {margins}")
-    partial = min_budget_solve(game, region, jobs=jobs, max_assignments=max_assignments)
+    partial = min_budget_solve(game, region, max_assignments=max_assignments)
     exact_promise = exactify(game, region, partial.promise)
     return SolveResult(
         delta=partial.delta,

@@ -1,6 +1,7 @@
 """Minimum-budget search, exactification, and the zero-cost characterization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -174,15 +175,87 @@ def test_parallel_matches_serial():
     game = random_game(rng, n_players=2, min_strats=4, max_strats=4)
     region = RectRegion.make([[0], [0]])
     serial = min_budget_solve(game, region, jobs=1)
-    import gimpl.solver as solver_mod
-
-    old = solver_mod._PARALLEL_THRESHOLD
-    solver_mod._PARALLEL_THRESHOLD = 1
-    try:
-        parallel = min_budget_solve(game, region, jobs=2)
-    finally:
-        solver_mod._PARALLEL_THRESHOLD = old
+    parallel = min_budget_solve(game, region, jobs=2)
     assert serial == parallel
+
+
+def test_solver_returns_the_oracles_first_optimum():
+    # the oracle enumerates assignments in the solver's order, so its first
+    # optimal mapping is the one the solver's tie-break must pick
+    from gimpl.oracle import oracle_min_budget
+
+    rng = random.Random(3030)
+    ties = 0
+    for _ in range(300):
+        game = random_game(rng)
+        region = random_region(rng, game)
+        result = min_budget_solve(game, region)
+        oracle = oracle_min_budget(game, region)
+        assert result.delta == oracle.delta
+        assert result.mapping == oracle.all_optimal_mappings[0]
+        ties += len(oracle.all_optimal_mappings) > 1
+    assert ties >= 50
+
+
+def test_solver_is_exact_on_rational_utilities():
+    from gimpl.oracle import oracle_min_budget
+
+    thirds, sixths, sevenths = Fraction(1, 3), Fraction(5, 6), Fraction(2, 7)
+    game = Game.make(
+        ["p1", "p2"],
+        [["a", "b", "c", "d"], ["e", "f", "g"]],
+        [
+            {(0, 0): thirds, (1, 0): sixths, (2, 0): sevenths, (3, 0): 1,
+             (0, 1): sevenths, (1, 1): thirds, (2, 1): 1, (3, 1): sixths},
+            {(0, 0): sixths, (0, 1): thirds, (0, 2): 1,
+             (1, 0): sevenths, (1, 1): sixths, (1, 2): thirds},
+        ],
+    )
+    region = RectRegion.make([[0, 1], [0, 1]])
+    result = min_budget_solve(game, region)
+    oracle = oracle_min_budget(game, region)
+    assert result.delta == oracle.delta
+    assert result.delta.fraction.denominator > 1
+    assert result.mapping == oracle.all_optimal_mappings[0]
+    assert verify(game, result.promise, region, result.delta, "subset").holds
+
+
+def test_solver_x3c_two_player_n1_is_fast():
+    import time
+
+    from gimpl.reductions import gen_x3c, x3c_to_two_player
+
+    game, region, _ = x3c_to_two_player(gen_x3c(1, 7, "yes"))  # 729^2 assignments
+    started = time.perf_counter()
+    result = min_budget_solve(game, region)
+    assert time.perf_counter() - started < 5.0
+    assert result.delta == ExtValue(2)
+
+
+def _wide_game(n_strategies: int, utilities: dict) -> Game:
+    return Game.make(
+        ["p1", "p2"],
+        [[f"s{k}" for k in range(n_strategies)], ["a", "b"]],
+        [utilities, {}],
+    )
+
+
+def test_solver_many_single_target_strategies():
+    # 1,501 undesired strategies, each with one possible target
+    game = _wide_game(1502, {(1501, 0): 3})
+    result = min_budget_solve(game, RectRegion.make([[0], [0]]))
+    assert result.delta == ExtValue(3)
+    assert result.mapping.targets[0] == (0,) * 1501
+
+
+def test_solver_search_depth_is_not_bounded_by_the_call_stack():
+    # 1,500 two-target digits; only the last one prefers its second target,
+    # so the search descends through every digit before it improves
+    game = _wide_game(1502, {(1501, 0): 3, (1, 0): 3})
+    region = RectRegion.make([[0, 1], [0]])
+    result = min_budget_solve(game, region, max_assignments=None)
+    assert result.delta == ZERO
+    assert result.mapping.targets[0] == (0,) * 1499 + (1,)
 
 
 def test_is_equitable_examples(ex1, ex1_region, ce1, ce1_region):
