@@ -19,12 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from gimpl import Game, InstanceDoc, RectRegion, serialize_instance
+from gimpl import Game, InstanceDoc, PaymentPromise, RectRegion, serialize_instance
 from gimpl.cli import run
 
 from _support import random_equitable_instance
 
 COMMANDS = {
+    "analyze": ["analyze"],
     "solve": ["solve", "--jobs", "1"],
     "solve-exactify": ["solve", "--exactify", "--jobs", "1"],
     "pne": ["pne"],
@@ -48,6 +49,16 @@ GOLDEN = {
     ('x3c-graphical-n1', 'pne'): 'bf86c2eec8b4823526ccf310196ef076c6e0441cbb67f5f501cea9d221db6d53 exit=2',
     ('x3c-graphical-n1', 'solve'): '66e90e5b0debebddd0868eedd3a8462cf3109390cf4b8a2bddf7f62dfb273e2d exit=0',
     ('x3c-graphical-n1', 'solve-exactify'): '8bca24277011b96952b6207aa362322116f69402c4f014ea91fa7d717a3b7fbb exit=0',
+    # added later, recorded the same way before the code they pin changed
+    ('ce1', 'analyze'): '17feece099e4f4633048f8089b8a99ecbf22a1d8914ea3a0b1b9384b114de6e8 exit=0',
+    ('ce1-sweetened', 'analyze'): 'd15083498395d4cda412787ddacd7a6730b1dac38ce9e7e45d26d5f74e5c2da2 exit=0',
+    ('ce1-sweetened', 'oracle'): 'dd354c840f506706d013951e12d2381e3bb6ba41f2eacb25cf77e05f005f3448 exit=0',
+    ('ce1-sweetened', 'pne'): '05ac16ddc270f2aa433fbaa8274ef6347c4021953966877faa203d59fe768628 exit=0',
+    ('ce1-sweetened', 'solve'): '84eaba6e1fadf4220615b7e573c62814bf289af0186018391173e218ba8d3cca exit=0',
+    ('ce1-sweetened', 'solve-exactify'): 'd9d2c00a2e9f666e4f99ebefea9a4bc2dbdd6a2bb5d9a079e126c6db58632d84 exit=0',
+    ('ex1', 'analyze'): '56fcf8989ff65a0f48f4de2e54d0cc04f4314fab0852e782d683ff2dde29865a exit=0',
+    ('random-equitable', 'analyze'): '4caf307070a5b118e1a3242f1237cdfe66fdc7b8975eefd159ee4de0d3e647c1 exit=0',
+    ('x3c-graphical-n1', 'analyze'): '131c08dbba56264ff0c64e24d1471f16c4a83d2222aa516e1ff60fe2276f13ef exit=0',
 }
 
 
@@ -75,6 +86,14 @@ def _ce1() -> InstanceDoc:
     return InstanceDoc(game=game, region=RectRegion.make([[0, 1], [0]]))
 
 
+def _ce1_sweetened() -> InstanceDoc:
+    # {s2} x {s2} is stable only after sweetening (s2, s2), so ``pne`` emits
+    # its zero-cost promise standalone next to the document's own promise
+    game = _ce1().game
+    sweetener = PaymentPromise.make(game, [{(1, 1): 3}, {(1, 1): 3}])
+    return InstanceDoc(game=game, region=RectRegion.make([[1], [1]]), promise=sweetener)
+
+
 def _random_equitable() -> InstanceDoc:
     game, region = random_equitable_instance(random.Random(20_313))
     return InstanceDoc(game=game, region=region)
@@ -89,6 +108,7 @@ def _x3c_graphical() -> str:
 INSTANCES = {
     "ex1": lambda: serialize_instance(_ex1()),
     "ce1": lambda: serialize_instance(_ce1()),
+    "ce1-sweetened": lambda: serialize_instance(_ce1_sweetened()),
     "random-equitable": lambda: serialize_instance(_random_equitable()),
     "x3c-graphical-n1": _x3c_graphical,
 }
