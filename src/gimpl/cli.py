@@ -19,7 +19,7 @@ from typing import Any
 from . import reductions
 from .checking import VerifyReport, verify
 from .domination import undominated_region
-from .instancefmt import InstanceDoc, instance_to_dict, parse_instance
+from .instancefmt import InstanceDoc, encode_entries, instance_to_dict, parse_instance
 from .model import GraphicalGame, ModifiedGameView, expand_graphical
 from .oracle import oracle_min_budget
 from .solver import (
@@ -46,6 +46,19 @@ class CommandResult:
 
 def _load(path: str) -> InstanceDoc:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
+
+
+def _load_with_region(args) -> InstanceDoc:
+    """The instance document of a command that needs a desired region."""
+    doc = _load(args.instance)
+    if doc.region is None:
+        raise ValueError(f"{args.command} needs a region in the instance document")
+    return doc
+
+
+def _normal_form(game):
+    """The game itself, or its normal-form expansion if it is graphical."""
+    return expand_graphical(game) if isinstance(game, GraphicalGame) else game
 
 
 def _region_payload(doc_game, region) -> dict[str, Any]:
@@ -84,7 +97,7 @@ def _cmd_analyze(args) -> CommandResult:
         "yes",
         {
             "status": "yes",
-            "kind": "graphical" if isinstance(doc.game, GraphicalGame) else "normal",
+            "kind": doc.game.kind,
             "promise_applied": doc.promise is not None,
             "undominated": _region_payload(doc.game, region),
         },
@@ -92,9 +105,7 @@ def _cmd_analyze(args) -> CommandResult:
 
 
 def _cmd_verify(args) -> CommandResult:
-    doc = _load(args.instance)
-    if doc.region is None:
-        raise ValueError("verify needs a region in the instance document")
+    doc = _load_with_region(args)
     promise = doc.promise
     budget = doc.budget if doc.budget is not None else INF
     mode = "exact" if args.exact else "subset"
@@ -105,12 +116,8 @@ def _cmd_verify(args) -> CommandResult:
 
 
 def _cmd_solve(args) -> CommandResult:
-    doc = _load(args.instance)
-    if doc.region is None:
-        raise ValueError("solve needs a region in the instance document")
-    game = doc.game
-    if isinstance(game, GraphicalGame):
-        game = expand_graphical(game)
+    doc = _load_with_region(args)
+    game = _normal_form(doc.game)
     if args.exactify:
         result = solve_exact(game, doc.region)
     else:
@@ -131,9 +138,7 @@ def _cmd_solve(args) -> CommandResult:
 
 
 def _cmd_pne(args) -> CommandResult:
-    doc = _load(args.instance)
-    if doc.region is None:
-        raise ValueError("pne needs a region in the instance document")
+    doc = _load_with_region(args)
     view = ModifiedGameView(doc.game, doc.promise)
     report = is_pne(view, doc.region)
     if not report.holds:
@@ -158,22 +163,13 @@ def _cmd_pne(args) -> CommandResult:
         )
         payload["instance"] = instance_to_dict(emitted)
     else:
-        payload["promise"] = [
-            {"player": i, "profile": list(key), "value": value.to_json()}
-            for i in range(doc.game.n_players)
-            for key, value in sorted(promise.entries[i].items())
-        ]
+        payload["promise"] = encode_entries(promise.entries)
     return CommandResult("yes", payload)
 
 
 def _cmd_oracle(args) -> CommandResult:
-    doc = _load(args.instance)
-    if doc.region is None:
-        raise ValueError("oracle needs a region in the instance document")
-    game = doc.game
-    if isinstance(game, GraphicalGame):
-        game = expand_graphical(game)
-    result = oracle_min_budget(game, doc.region)
+    doc = _load_with_region(args)
+    result = oracle_min_budget(_normal_form(doc.game), doc.region)
     landscape = [
         {"mapping": _mapping_payload(mapping), "delta": value.to_json()}
         for mapping, value in result.per_mapping_costs.items()

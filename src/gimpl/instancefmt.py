@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from .model import AnyGame, Game, GraphicalGame, PaymentPromise, RectRegion
 from .values import ZERO, ExtValue
@@ -120,8 +120,11 @@ def parse_instance(text: str) -> InstanceDoc:
         raw_region = doc["region"]
         if not isinstance(raw_region, dict) or "sets" not in raw_region:
             raise FormatError("region must be an object with a sets list")
+        sets = raw_region["sets"]
+        if not isinstance(sets, list) or not all(isinstance(m, list) for m in sets):
+            raise FormatError(f"region sets must be a list of index lists, got {sets!r}")
         try:
-            region = RectRegion.make(raw_region["sets"])
+            region = RectRegion.make(sets)
             region.validate_for(game)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
@@ -143,38 +146,36 @@ def parse_instance(text: str) -> InstanceDoc:
     return InstanceDoc(game=game, region=region, budget=budget, promise=promise)
 
 
+def encode_entries(tables: Sequence[Mapping[tuple[int, ...], ExtValue]]) -> list[dict[str, Any]]:
+    """Per-player sparse tables as the gipf-1 entry list, sorted by player
+    and then by key."""
+    return [
+        {"player": i, "profile": list(key), "value": value.to_json()}
+        for i, table in enumerate(tables)
+        for key, value in sorted(table.items())
+    ]
+
+
 def instance_to_dict(doc: InstanceDoc) -> dict[str, Any]:
     """Render an instance as a JSON-ready dict with deterministic ordering."""
     game = doc.game
-    graphical = isinstance(game, GraphicalGame)
     out: dict[str, Any] = {
         "format": FORMAT_NAME,
-        "kind": "graphical" if graphical else "normal",
+        "kind": game.kind,
         "players": [
             {"name": name, "strategies": list(strats)}
             for name, strats in zip(game.players, game.strategies)
         ],
     }
-    if graphical:
+    if isinstance(game, GraphicalGame):
         out["edges"] = [list(edge) for edge in game.edges]
-        tables = game.local_utilities
-    else:
-        tables = game.utilities
-    out["utilities"] = [
-        {"player": i, "profile": list(profile), "value": value.to_json()}
-        for i in range(game.n_players)
-        for profile, value in sorted(tables[i].items())
-    ]
+    out["utilities"] = encode_entries(game.tables)
     if doc.region is not None:
         out["region"] = {"sets": [list(members) for members in doc.region.sets]}
     if doc.budget is not None:
         out["budget"] = doc.budget.to_json()
     if doc.promise is not None:
-        out["promise"] = [
-            {"player": i, "profile": list(key), "value": value.to_json()}
-            for i in range(game.n_players)
-            for key, value in sorted(doc.promise.entries[i].items())
-        ]
+        out["promise"] = encode_entries(doc.promise.entries)
     return out
 
 

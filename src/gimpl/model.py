@@ -6,17 +6,24 @@ player order. Utility and promise tables are sparse dicts with an implicit
 default of 0, since the interesting constructions set only finitely many
 nonzero entries.
 
-All objects here are immutable after construction and safe to share across
-workers; build them through the ``make`` classmethods, which canonicalize
-(zero entries dropped, index sets sorted) so that equality is structural.
+Each game owns its key layout: which table holds the utilities and how a
+(player, strategy, opponents) triple becomes a key. A normal-form key is the
+full profile; a graphical key is ``(own strategy, *neighbor strategies)``.
+Promises, views and the instance writer read that layout instead of asking
+which kind of game they hold.
+
+All objects here are immutable after construction; build them through the
+``make`` classmethods, which canonicalize (zero entries dropped, index sets
+sorted) so that equality is structural.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Union
 
 from .values import ZERO, ExtValue, ValueLike
 
@@ -77,17 +84,6 @@ def _check_players(
     return names, strats
 
 
-def _max_utility(tables: Iterable[tuple[Mapping[tuple[int, ...], ExtValue], int]]) -> ExtValue:
-    """Largest value over (sparse table, full table size) pairs, counting the
-    implicit 0 of every table that leaves some entry unset."""
-    values = []
-    for table, full in tables:
-        values.extend(table.values())
-        if len(table) < full:
-            values.append(ZERO)
-    return max(values, default=ZERO)
-
-
 def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
     """The full profile in which ``player`` plays ``strategy`` against the
     joint choice ``opp`` of all other players."""
@@ -95,16 +91,54 @@ def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
 
 
 @dataclass(frozen=True)
-class Game:
+class _GameBase:
+    """What normal-form and graphical games share: players, strategies and
+    the key layout of their per-player tables.
+
+    Subclasses set ``kind`` and provide ``tables`` (one sparse utility table
+    per player), ``key_sizes(i)`` (the index range of each key position),
+    ``opponents(i)`` (the players whose choices enter player i's keys),
+    ``key_of(i, s, opp)`` (the key of strategy s against the joint choice
+    ``opp`` of those players) and ``key_at(i, profile)`` (the key that a full
+    profile selects).
+    """
+
+    kind: ClassVar[str]
+    players: tuple[str, ...]
+    strategies: tuple[tuple[str, ...], ...]
+
+    @property
+    def n_players(self) -> int:
+        return len(self.players)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(s) for s in self.strategies)
+
+    def profiles(self) -> Iterator[Profile]:
+        return itertools.product(*(range(n) for n in self.sizes))
+
+    def max_utility(self) -> ExtValue:
+        """Largest utility any player receives anywhere (0 for unset entries)."""
+        values = [v for table in self.tables for v in table.values()]
+        if any(
+            len(table) < math.prod(self.key_sizes(i)) for i, table in enumerate(self.tables)
+        ):
+            values.append(ZERO)
+        return max(values, default=ZERO)
+
+
+@dataclass(frozen=True)
+class Game(_GameBase):
     """A finite normal-form game with exact rational utilities.
 
     ``utilities[i]`` maps full strategy profiles to finite values; omitted
     profiles have utility 0.
     """
 
-    players: tuple[str, ...]
-    strategies: tuple[tuple[str, ...], ...]
     utilities: tuple[dict[Profile, ExtValue], ...]
+
+    kind = "normal"
 
     @classmethod
     def make(
@@ -125,34 +159,28 @@ class Game:
         return cls(names, strats, tables)
 
     @property
-    def n_players(self) -> int:
-        return len(self.players)
+    def tables(self) -> tuple[dict[Profile, ExtValue], ...]:
+        return self.utilities
 
-    @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
+    def key_sizes(self, player: int) -> tuple[int, ...]:
+        return self.sizes
+
+    def opponents(self, player: int) -> tuple[int, ...]:
+        """Every other player, in ascending order."""
+        return tuple(j for j in range(self.n_players) if j != player)
+
+    def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> Profile:
+        return _embed(opp, player, strategy)
+
+    def key_at(self, player: int, profile: Profile) -> Profile:
+        return profile
 
     def utility(self, player: int, profile: Profile) -> ExtValue:
         return self.utilities[player].get(profile, ZERO)
 
-    def profiles(self) -> Iterator[Profile]:
-        return itertools.product(*(range(n) for n in self.sizes))
-
-    def max_utility(self) -> ExtValue:
-        """Largest utility any player receives anywhere (0 for unset entries)."""
-        full = _product(self.sizes)
-        return _max_utility((table, full) for table in self.utilities)
-
-
-def _product(sizes: Iterable[int]) -> int:
-    total = 1
-    for n in sizes:
-        total *= n
-    return total
-
 
 @dataclass(frozen=True)
-class GraphicalGame:
+class GraphicalGame(_GameBase):
     """A game on an undirected graph; each utility is neighborhood-local.
 
     ``local_utilities[i]`` maps ``(own strategy, *neighbor strategies)`` to a
@@ -160,11 +188,11 @@ class GraphicalGame:
     have utility 0.
     """
 
-    players: tuple[str, ...]
-    strategies: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[int, int], ...]
     neighborhoods: tuple[tuple[int, ...], ...]
     local_utilities: tuple[dict[LocalKey, ExtValue], ...]
+
+    kind = "graphical"
 
     @classmethod
     def make(
@@ -189,28 +217,31 @@ class GraphicalGame:
             ngb[a].append(b)
             ngb[b].append(a)
         neighborhoods = tuple(tuple(sorted(js)) for js in ngb)
-        sizes = tuple(len(s) for s in strats)
-        tables = []
-        for i in range(n):
-            local_sizes = (sizes[i],) + tuple(sizes[j] for j in neighborhoods[i])
-            tables.append(
-                _canonical_table(
-                    local_utilities[i], local_sizes, f"local utility key of player {i}",
-                    allow_infinite=False, allow_negative=True,
-                )
+        # the key layout needs only the strategies and the neighborhoods
+        shape = cls(names, strats, tuple(sorted(canon_edges)), neighborhoods, ())
+        tables = tuple(
+            _canonical_table(
+                local_utilities[i], shape.key_sizes(i), f"local utility key of player {i}",
+                allow_infinite=False, allow_negative=True,
             )
-        return cls(names, strats, tuple(sorted(canon_edges)), neighborhoods, tuple(tables))
+            for i in range(n)
+        )
+        return cls(names, strats, shape.edges, neighborhoods, tables)
 
     @property
-    def n_players(self) -> int:
-        return len(self.players)
+    def tables(self) -> tuple[dict[LocalKey, ExtValue], ...]:
+        return self.local_utilities
 
-    @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
+    def key_sizes(self, player: int) -> tuple[int, ...]:
+        sizes = self.sizes
+        return (sizes[player],) + tuple(sizes[j] for j in self.neighborhoods[player])
 
-    def neighbors(self, player: int) -> tuple[int, ...]:
+    def opponents(self, player: int) -> tuple[int, ...]:
+        """The neighbors of ``player``, in ascending order."""
         return self.neighborhoods[player]
+
+    def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> LocalKey:
+        return (strategy,) + opp
 
     def degree(self) -> int:
         return max((len(js) for js in self.neighborhoods), default=0)
@@ -218,18 +249,10 @@ class GraphicalGame:
     def local_key(self, player: int, profile: Profile) -> LocalKey:
         return (profile[player],) + tuple(profile[j] for j in self.neighborhoods[player])
 
+    key_at = local_key
+
     def local_utility(self, player: int, key: LocalKey) -> ExtValue:
         return self.local_utilities[player].get(key, ZERO)
-
-    def profiles(self) -> Iterator[Profile]:
-        return itertools.product(*(range(n) for n in self.sizes))
-
-    def max_utility(self) -> ExtValue:
-        sizes = self.sizes
-        return _max_utility(
-            (table, sizes[i] * _product(sizes[j] for j in self.neighborhoods[i]))
-            for i, table in enumerate(self.local_utilities)
-        )
 
 
 AnyGame = Union[Game, GraphicalGame]
@@ -245,10 +268,13 @@ class RectRegion:
     def make(cls, sets: Iterable[Iterable[int]]) -> "RectRegion":
         canon = []
         for i, raw in enumerate(sets):
-            members = tuple(sorted(set(int(x) for x in raw)))
+            members = tuple(raw)
+            for x in members:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(f"region of player {i} holds {x!r}, not a strategy index")
             if not members:
                 raise ValueError(f"empty desired set for player {i}")
-            canon.append(members)
+            canon.append(tuple(sorted(set(members))))
         if not canon:
             raise ValueError("a region needs at least one player")
         return cls(tuple(canon))
@@ -263,21 +289,16 @@ class RectRegion:
                 f"region has {len(self.sets)} players, game has {game.n_players}"
             )
         for i, (members, size) in enumerate(zip(self.sets, game.sizes)):
-            if members[-1] >= size:
-                raise ValueError(f"region of player {i} references strategy {members[-1]}")
+            for s in (members[-1], members[0]):
+                if not 0 <= s < size:
+                    raise ValueError(f"region of player {i} references strategy {s}")
 
     def complement(self, game: AnyGame, player: int) -> tuple[int, ...]:
         inside = set(self.sets[player])
         return tuple(s for s in range(game.sizes[player]) if s not in inside)
 
-    def is_full_for(self, game: AnyGame, player: int) -> bool:
-        return len(self.sets[player]) == game.sizes[player]
-
     def profiles(self) -> Iterator[Profile]:
         return itertools.product(*self.sets)
-
-    def contains(self, profile: Profile) -> bool:
-        return all(s in members for s, members in zip(profile, self.sets))
 
 
 @dataclass(frozen=True)
@@ -289,7 +310,7 @@ class PaymentPromise:
     keys promise 0.
     """
 
-    kind: str  # "normal" | "graphical"
+    kind: str  # the game's kind: "normal" | "graphical"
     entries: tuple[dict[tuple[int, ...], ExtValue], ...]
 
     @classmethod
@@ -298,27 +319,20 @@ class PaymentPromise:
         game: AnyGame,
         entries: Sequence[Mapping[Sequence[int], ValueLike] | None],
     ) -> "PaymentPromise":
-        graphical = isinstance(game, GraphicalGame)
         if len(entries) != game.n_players:
             raise ValueError("one promise table per player is required")
-        tables = []
-        for i in range(game.n_players):
-            if graphical:
-                sizes = (game.sizes[i],) + tuple(game.sizes[j] for j in game.neighborhoods[i])
-            else:
-                sizes = game.sizes
-            tables.append(
-                _canonical_table(
-                    entries[i], sizes, f"promise key of player {i}",
-                    allow_infinite=True, allow_negative=False,
-                )
+        tables = tuple(
+            _canonical_table(
+                entries[i], game.key_sizes(i), f"promise key of player {i}",
+                allow_infinite=True, allow_negative=False,
             )
-        return cls("graphical" if graphical else "normal", tuple(tables))
+            for i in range(game.n_players)
+        )
+        return cls(game.kind, tables)
 
     @classmethod
     def empty(cls, game: AnyGame) -> "PaymentPromise":
-        kind = "graphical" if isinstance(game, GraphicalGame) else "normal"
-        return cls(kind, tuple({} for _ in range(game.n_players)))
+        return cls(game.kind, tuple({} for _ in range(game.n_players)))
 
     def value(self, player: int, key: tuple[int, ...]) -> ExtValue:
         return self.entries[player].get(key, ZERO)
@@ -338,15 +352,13 @@ class ModifiedGameView:
 
     def __init__(self, game: AnyGame, promise: PaymentPromise | None = None):
         self.game = game
-        self.graphical = isinstance(game, GraphicalGame)
         if promise is not None:
-            expected = "graphical" if self.graphical else "normal"
-            if promise.kind != expected:
-                raise ValueError(f"promise kind {promise.kind!r} does not match a {expected} game")
+            if promise.kind != game.kind:
+                raise ValueError(f"promise kind {promise.kind!r} does not match a {game.kind} game")
             if len(promise.entries) != game.n_players:
                 raise ValueError("promise and game disagree on the number of players")
         self.promise = promise
-        self._utilities = game.local_utilities if self.graphical else game.utilities
+        self._tables = game.tables
 
     @property
     def n_players(self) -> int:
@@ -356,32 +368,20 @@ class ModifiedGameView:
     def sizes(self) -> tuple[int, ...]:
         return self.game.sizes
 
-    def opponents(self, player: int) -> tuple[int, ...]:
-        """Players whose choices matter to ``player``, in ascending order."""
-        if self.graphical:
-            return self.game.neighborhoods[player]
-        return tuple(j for j in range(self.game.n_players) if j != player)
-
     def opponent_profiles(
         self, player: int, region: RectRegion | None = None
     ) -> Iterator[tuple[int, ...]]:
-        """All joint opponent choices, optionally restricted to a region."""
+        """All joint choices of the players whose choices matter to ``player``
+        (``game.opponents``), optionally restricted to a region."""
         axes = []
-        for j in self.opponents(player):
+        for j in self.game.opponents(player):
             axes.append(region.sets[j] if region is not None else range(self.sizes[j]))
         return itertools.product(*axes)
 
-    def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> tuple[int, ...]:
-        """Table key for a strategy against a joint opponent choice: the full
-        profile for normal form, the local key for graphical games."""
-        if self.graphical:
-            return (strategy,) + opp
-        return _embed(opp, player, strategy)
-
     def payoff(self, player: int, strategy: int, opp: tuple[int, ...]) -> ExtValue:
         """Modified utility of ``player`` for ``strategy`` against ``opp``."""
-        key = self.key_of(player, strategy, opp)
-        base = self._utilities[player].get(key, ZERO)
+        key = self.game.key_of(player, strategy, opp)
+        base = self._tables[player].get(key, ZERO)
         if self.promise is None:
             return base
         bonus = self.promise.entries[player].get(key)
@@ -389,15 +389,14 @@ class ModifiedGameView:
 
     def modified_utility(self, player: int, profile: Profile) -> ExtValue:
         """Modified utility at a full strategy profile."""
-        opp = tuple(profile[j] for j in self.opponents(player))
+        opp = tuple(profile[j] for j in self.game.opponents(player))
         return self.payoff(player, profile[player], opp)
 
     def promise_at(self, player: int, profile: Profile) -> ExtValue:
         """Promised payment to ``player`` at a full strategy profile."""
         if self.promise is None:
             return ZERO
-        key = self.game.local_key(player, profile) if self.graphical else profile
-        return self.promise.entries[player].get(key, ZERO)
+        return self.promise.entries[player].get(self.game.key_at(player, profile), ZERO)
 
 
 def _flatten(
@@ -408,7 +407,7 @@ def _flatten(
     The rewrite is exponential in the number of players, so games with more
     than ``MAX_PROFILES`` full profiles are refused before any enumeration.
     """
-    count = _product(gg.sizes)
+    count = math.prod(gg.sizes)
     if count > MAX_PROFILES:
         raise ValueError(
             f"graphical game has {count} full strategy profiles, above the "

@@ -130,8 +130,14 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
 
 
 def oracle_zero_cost(game: Game, region: RectRegion) -> bool:
-    """Decide zero-budget implementability of a stable region end to end:
-    build the pay-infinity-off-region promise and verify it at budget 0."""
+    """Whether the full desired region implements itself at budget 0: build
+    the pay-infinity-off-region promise and verify it at budget 0.
+
+    This is the same full-region test as ``is_pne`` (criterion 06), done from
+    first principles. It does not decide zero-cost implementability: a
+    region can still be implemented at zero cost through a smaller
+    undominated sub-region, which this check never tries.
+    """
     game = _require_normal(game)
     region.validate_for(game)
     desired_sets = [set(members) for members in region.sets]

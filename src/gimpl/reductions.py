@@ -13,6 +13,7 @@ games produced by the encoders here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -305,7 +306,6 @@ def decode_cover_2p(game: Game, promise: PaymentPromise) -> tuple[int, ...]:
 
 T_INDEX, F_INDEX = 0, 1
 
-_ELEMENT_PLAYER = re.compile(r"^a(\d+)$")
 _SET_PLAYER = re.compile(r"^C(\d+)$")
 
 
@@ -372,7 +372,7 @@ def decode_cover_graphical(
     element_players = []
     set_players = []
     for idx, name in enumerate(game.players):
-        if _ELEMENT_PLAYER.match(name):
+        if _A_NAME.match(name):
             element_players.append(idx)
         elif _SET_PLAYER.match(name):
             set_players.append(idx)
@@ -400,7 +400,7 @@ def decode_cover_graphical(
             )
         if survivors[0] == T_INDEX:
             cover.append(j)
-    region = RectRegion.make([(T_INDEX,)] * n + [(T_INDEX, F_INDEX)] * len(triples))
+    _, region, _ = x3c_to_graphical(inst)
     if not verify(game, promise, region, budget, "subset").holds:
         raise ValueError("promise does not implement the desired region within budget")
     return validate_cover(inst, cover)
@@ -482,6 +482,11 @@ def _coloring_layout(graph: ColoringInstance) -> tuple[int, int, int]:
     return n, n + 3 * n, n + 6 * n
 
 
+def _col(col_base: int, v: int, c: int) -> int:
+    """Index of the strategy in which vertex ``v`` takes color ``c``."""
+    return col_base + 3 * v + (c - 1)
+
+
 def coloring_to_exact(graph: ColoringInstance) -> tuple[Game, RectRegion, ExtValue]:
     """Encode a graph as a symmetric two-player game whose color-choice
     strategies can be implemented exactly within budget 1 precisely when
@@ -492,9 +497,7 @@ def coloring_to_exact(graph: ColoringInstance) -> tuple[Game, RectRegion, ExtVal
     """
     n = graph.n_vertices
     col_base, dummy_base, _ = _coloring_layout(graph)
-
-    def col(v: int, c: int) -> int:
-        return col_base + 3 * v + (c - 1)
+    col = functools.partial(_col, col_base)
 
     names = (
         [f"v:{name}" for name in graph.vertices]
@@ -538,9 +541,7 @@ def coloring_forward_promise(
     assert checked.coloring is not None
     game, _, _ = coloring_to_exact(graph)
     col_base, _, _ = _coloring_layout(graph)
-
-    def col(v: int, c: int) -> int:
-        return col_base + 3 * v + (c - 1)
+    col = functools.partial(_col, col_base)
 
     v1: dict[tuple[int, int], int] = {}
     for v in range(graph.n_vertices):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .checking import verify
+from .checking import _max_payment_over, verify
 from .model import (
     AnyGame,
     Game,
@@ -56,9 +56,6 @@ class DominatorMapping:
 
     domains: tuple[tuple[int, ...], ...]
     targets: tuple[tuple[int, ...], ...]
-
-    def mapping_for(self, player: int) -> dict[int, int]:
-        return dict(zip(self.domains[player], self.targets[player]))
 
     def preimage(self, player: int, desired: int) -> tuple[int, ...]:
         return tuple(
@@ -328,7 +325,7 @@ def _off_region(
 ) -> Iterator[tuple[int, ...]]:
     """Opponent parts of ``player`` in which some opponent plays outside the
     region, in opponent-profile order."""
-    desired = [set(region.sets[j]) for j in view.opponents(player)]
+    desired = [set(region.sets[j]) for j in view.game.opponents(player)]
     for opp in view.opponent_profiles(player):
         if not all(s in d for s, d in zip(opp, desired)):
             yield opp
@@ -340,7 +337,7 @@ def _infinite_off_region(
     """Infinite payments on the player's desired rows against every
     off-region opponent part."""
     return {
-        view.key_of(player, p, opp): INF
+        view.game.key_of(player, p, opp): INF
         for opp in _off_region(view, region, player)
         for p in region.sets[player]
     }
@@ -372,9 +369,7 @@ def min_budget_solve(
     region.validate_for(game)
 
     domains, radices = _candidate_space(game, region)
-    total = 1
-    for r in radices:
-        total *= r
+    total = math.prod(radices)
     if max_assignments is not None and total > max_assignments:
         raise ValueError(
             f"assignment space has {total} elements, above the {max_assignments} cap; "
@@ -404,13 +399,9 @@ def is_equitable(game: AnyGame, region: RectRegion) -> tuple[bool, tuple[int, ..
     region.validate_for(game)
     margins = []
     for i in range(game.n_players):
-        opp_total = 1
-        opp_desired = 1
-        for j in range(game.n_players):
-            if j == i:
-                continue
-            opp_total *= game.sizes[j]
-            opp_desired *= len(region.sets[j])
+        others = [j for j in range(game.n_players) if j != i]
+        opp_total = math.prod(game.sizes[j] for j in others)
+        opp_desired = math.prod(len(region.sets[j]) for j in others)
         margins.append((opp_total - opp_desired) - len(region.sets[i]))
     return all(m >= 0 for m in margins), tuple(margins)
 
@@ -431,16 +422,9 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
     if promise.kind != "normal":
         raise ValueError("exactification needs a normal-form promise")
 
-    delta = ZERO
-    for profile in region.profiles():
-        total: ExtValue = ZERO
-        for i in range(game.n_players):
-            value = promise.value(i, profile)
-            if not value.is_finite:
-                raise ValueError(f"promise is infinite on the desired region at {profile}")
-            total = total + value
-        if delta < total:
-            delta = total
+    delta = _max_payment_over(ModifiedGameView(game, promise), region)
+    if not delta.is_finite:
+        raise ValueError("promise is infinite on the desired region")
 
     if not verify(game, promise, region, INF, "subset").holds:
         raise ValueError("promise does not implement the desired region")
@@ -458,7 +442,7 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
         # equitability leaves at least one private off-region part per desired strategy
         for o_i, private in zip(region.sets[i], off_region):
             for opp in off_region:
-                profile = view.key_of(i, o_i, opp)
+                profile = game.key_of(i, o_i, opp)
                 base = game.utility(i, profile)
                 bonus = big_m + 1 - base if opp == private else big_m - base
                 table[profile] = bonus

@@ -104,6 +104,20 @@ def test_error_exit_code(tmp_path):
     assert run(["frobnicate", "x"]).exit_code == 1
 
 
+def test_malformed_region_exits_with_one_line_error(tmp_path, ex1):
+    document = json.loads(serialize_instance(InstanceDoc(game=ex1)))
+    for name, sets in [("negative", [[-1], [0]]), ("flat", [1, [0]])]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(document, region={"sets": sets})), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gimpl.cli", "verify", str(path)], capture_output=True
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["status"] == "error"
+        assert proc.stderr.decode().startswith("gimpl: ")
+        assert proc.stderr.decode().count("\n") == 1
+
+
 def test_solve_counterexample(tmp_path, ce1, ce1_region):
     path = _write(tmp_path, "ce1.json", InstanceDoc(game=ce1, region=ce1_region))
     result = run(["solve", path, "--jobs", "1"])

@@ -112,6 +112,17 @@ def test_malformed_documents():
                 )
             )
         )
+    # region members must be in-range ints, and sets a list of lists
+    for sets, message in [
+        ([[-1], [0]], "references strategy -1"),
+        ([[1.7], [0]], "not a strategy index"),
+        ([[True], [0]], "not a strategy index"),
+        ([["1"], [0]], "not a strategy index"),
+        ([1, [0]], "list of index lists"),
+        (5, "list of index lists"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_instance(json.dumps(dict(EX1_DOCUMENT, region={"sets": sets})))
 
 
 def test_round_trip_normal(ex1, ex1_promise):

@@ -47,6 +47,11 @@ def test_region_validation():
         RectRegion.make([[5]]).validate_for(game)
     with pytest.raises(ValueError):
         RectRegion.make([[0], [0]]).validate_for(game)
+    with pytest.raises(ValueError, match="references strategy -1"):
+        RectRegion.make([[-1]]).validate_for(game)
+    for member in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="not a strategy index"):
+            RectRegion.make([[member]])
 
 
 def test_promise_rejects_negative_values():
