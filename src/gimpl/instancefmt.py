@@ -95,10 +95,6 @@ def parse_instance(text: str) -> InstanceDoc:
     n_players = len(names)
 
     utilities = _decode_entries(doc.get("utilities", []), n_players, "utilities")
-    for table in utilities:
-        for profile, value in table.items():
-            if not value.is_finite:
-                raise FormatError(f"infinite utility at profile {list(profile)}")
 
     try:
         if kind == "graphical":

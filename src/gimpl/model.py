@@ -206,6 +206,12 @@ class GraphicalGame(_GameBase):
         n = len(names)
         canon_edges: set[tuple[int, int]] = set()
         for edge in edges:
+            if not (
+                isinstance(edge, (list, tuple))
+                and len(edge) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in edge)
+            ):
+                raise ValueError(f"edge {edge!r} is not a pair of player indices")
             a, b = edge
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge {edge!r} references an unknown player")

@@ -5,8 +5,9 @@ strategy meant to dominate it, prices each joint assignment by the
 worst-case payment over the desired region, and keeps the cheapest. It is
 an exact branch and bound over the assignment digits in integer arithmetic
 (utility gaps scaled by the least common multiple of their denominators):
-a branch is dropped as soon as a lower bound on its prices reaches the best
-price found, and only strict improvements count, so it returns the same
+a branch is dropped by one test, as soon as the price of its fixed digits
+or the cheapest option of one of its open digits reaches the best price
+found, and only strict improvements count, so it returns the same
 assignment as a full scan in enumeration order. That price, ``delta``, is
 taken over the whole desired region, while cost binds only on the
 undominated region, so ``delta`` is an upper bound on the minimum cost and
@@ -152,15 +153,6 @@ def compute_v(
     return {o: ExtValue(v) if v else ZERO for o, v in zip(desired_profiles, lift)}
 
 
-def _candidate_space(game: Game, region: RectRegion) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per-player assignment domains and the per-player candidate counts."""
-    domains = [region.complement(game, i) for i in range(game.n_players)]
-    radices = [
-        len(region.sets[i]) ** len(domains[i]) for i in range(game.n_players)
-    ]
-    return domains, radices
-
-
 def _payment_vectors(
     game: Game, region: RectRegion, domains: Sequence[tuple[int, ...]]
 ) -> tuple[list[Profile], list[list[list[int]]], int]:
@@ -220,14 +212,17 @@ def _scan_assignments(
     enumeration order. A player's payment vector is the pointwise max of its
     chosen option vectors, and an assignment's price is the largest entry of
     the players' sum; all entries are nonnegative. The search runs depth
-    first and drops a branch once a lower bound on its prices reaches the
-    best price found. The bound is the largest of: the price of the digits
-    fixed so far, and, for each open digit, the cheapest of its options laid
-    on top of them. Only strict improvements replace the best, so the first
-    optimum in enumeration order is the one returned. Players with one
-    desired strategy have nothing to choose and enter as a constant.
+    first and prunes with one test: a branch is dropped once the price of
+    the digits fixed so far, or the cheapest option of some open digit laid
+    on what that digit adds to, reaches the best price found. An open digit
+    of a later player adds to the fixed digits' sum; one of the current
+    player adds to the finished players' payments only, since a player's own
+    options combine by pointwise max. A leaf that passes the test is a
+    strict improvement, so the first optimum in enumeration order is the one
+    returned. Players with one desired strategy have nothing to choose and
+    enter as a constant.
     """
-    domains, _ = _candidate_space(game, region)
+    domains = [region.complement(game, i) for i in range(game.n_players)]
     desired_profiles, per_player, scale = _payment_vectors(game, region, domains)
     n = game.n_players
     zero = [0] * len(desired_profiles)
@@ -273,18 +268,7 @@ def _scan_assignments(
     tried = [0] * n_digits  # per depth: the options tried, the last one chosen
     dones = [base] * n_digits  # per depth: the payments of finished players
     curs = [zero] * n_digits  # per depth: the current player's vector so far
-    own_rest = [0] * n_digits  # per depth: the bound of the player's later digits
-
-    def enter(d: int) -> None:
-        """Bound the digits of the player starting at depth ``d``."""
-        rest = 0
-        for e in reversed(range(d, later[d])):
-            own_rest[e] = rest
-            rest = max(rest, cheapest(e, dones[d]))
-
     d = 0 if digits else -1
-    if digits:
-        enter(0)
     while d >= 0:
         i, slot = digits[d]
         choices = slots[i][slot]
@@ -295,13 +279,13 @@ def _scan_assignments(
         tried[d] = k + 1
         cur = _pointwise_max(curs[d], choices[k])
         total = [a + c for a, c in zip(dones[d], cur)]
-        bound = max(max(total), own_rest[d])
-        if bound >= best or any(
-            cheapest(e, total) >= best for e in range(later[d], n_digits)
+        if max(total) >= best or any(
+            cheapest(e, dones[d] if e < later[d] else total) >= best
+            for e in range(d + 1, n_digits)
         ):
             continue
         if d + 1 == n_digits:
-            best, best_chosen = bound, [t - 1 for t in tried]
+            best, best_chosen = max(total), [t - 1 for t in tried]
             continue
         d += 1
         tried[d] = 0
@@ -309,7 +293,6 @@ def _scan_assignments(
             dones[d], curs[d] = dones[d - 1], cur
         else:
             dones[d], curs[d] = total, zero
-            enter(d)
 
     for (i, slot), k in zip(digits, best_chosen):
         picks[i][slot] = k
@@ -368,8 +351,8 @@ def min_budget_solve(
     game = _require_normal(game)
     region.validate_for(game)
 
-    domains, radices = _candidate_space(game, region)
-    total = math.prod(radices)
+    domains = [region.complement(game, i) for i in range(game.n_players)]
+    total = math.prod(len(region.sets[i]) ** len(domains[i]) for i in range(game.n_players))
     if max_assignments is not None and total > max_assignments:
         raise ValueError(
             f"assignment space has {total} elements, above the {max_assignments} cap; "
@@ -415,13 +398,9 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
     region with finite payments on it.
     """
     game = _require_normal(game)
-    region.validate_for(game)
     equitable, margins = is_equitable(game, region)
     if not equitable:
         raise ValueError(f"not equitable: per-player margins {margins}")
-    if promise.kind != "normal":
-        raise ValueError("exactification needs a normal-form promise")
-
     delta = _max_payment_over(ModifiedGameView(game, promise), region)
     if not delta.is_finite:
         raise ValueError("promise is infinite on the desired region")
@@ -489,9 +468,7 @@ def is_pne(game: "AnyGame | ModifiedGameView", region: RectRegion) -> PneReport:
     region.validate_for(view.game)
     assignments: list[tuple[int, int, int]] = []
     for i in range(view.n_players):
-        desired = set(region.sets[i])
-        outside = [x for x in range(view.sizes[i]) if x not in desired]
-        for x in outside:
+        for x in region.complement(view.game, i):
             counter = None
             for p in region.sets[i]:
                 if all(
@@ -518,7 +495,6 @@ def zero_cost_promise(
     undominated profile, so the promise verifies at budget 0.
     """
     view = _as_view(game)
-    region.validate_for(view.game)
     report = is_pne(view, region)
     if not report.holds:
         assert report.defector is not None

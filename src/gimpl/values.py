@@ -9,11 +9,13 @@ strictly above every finite value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 ValueLike = Union[int, Fraction, str, "ExtValue"]
 
 
+@total_ordering
 class ExtValue:
     """An exact rational extended with +infinity.
 
@@ -101,24 +103,6 @@ class ExtValue:
         if rhs._frac is None:
             return True
         return self._frac < rhs._frac
-
-    def __le__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self == rhs or self < rhs
-
-    def __gt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs < self
-
-    def __ge__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs <= self
 
     def __str__(self) -> str:
         if self._frac is None:

@@ -118,6 +118,23 @@ def test_malformed_region_exits_with_one_line_error(tmp_path, ex1):
         assert proc.stderr.decode().count("\n") == 1
 
 
+def test_malformed_edge_exits_with_one_line_error(tmp_path):
+    document = {
+        "format": "gipf-1",
+        "kind": "graphical",
+        "players": [{"name": "p1", "strategies": ["a"]}, {"name": "p2", "strategies": ["b"]}],
+        "edges": [[0, "1"]],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gimpl.cli", "analyze", str(path)], capture_output=True
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "error"
+    assert proc.stderr.decode() == "gimpl: edge [0, '1'] is not a pair of player indices\n"
+
+
 def test_solve_counterexample(tmp_path, ce1, ce1_region):
     path = _write(tmp_path, "ce1.json", InstanceDoc(game=ce1, region=ce1_region))
     result = run(["solve", path, "--jobs", "1"])

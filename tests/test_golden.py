@@ -6,12 +6,17 @@ against a digest recorded once and checked to repeat across fresh
 interpreters. A refactor that keeps every delta, promise, mapping and exit
 code keeps these digests; any change to the emitted JSON shows up here.
 
+A second list, ``SEARCH_GOLDEN``, runs ``solve`` alone on instances whose
+raw assignment spaces (65,536 and 531,441 assignments) only the search's
+pruning gets through in test time; ``oracle`` cannot enumerate them.
+
 To print the current digests: ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -61,6 +66,12 @@ GOLDEN = {
     ('x3c-graphical-n1', 'analyze'): '131c08dbba56264ff0c64e24d1471f16c4a83d2222aa516e1ff60fe2276f13ef exit=0',
 }
 
+# solve only, recorded the same way before the search they pin was simplified
+SEARCH_GOLDEN = {
+    'criterion-11': '3e641a5d1d0fd8bcfa324b582cc629289893e75b1cf0aa8b6fe03d784cfec420 exit=0',
+    'x3c-2p-n1': 'cfd5afa927efd6b15a4fb11ba10dd749411704554ece58fb8e3d2383747d0298 exit=0',
+}
+
 
 def _ex1() -> InstanceDoc:
     game = Game.make(
@@ -99,10 +110,28 @@ def _random_equitable() -> InstanceDoc:
     return InstanceDoc(game=game, region=region)
 
 
-def _x3c_graphical() -> str:
-    result = run(["gen", "x3c", "--n", "1", "--seed", "0", "--target", "graphical"])
+def _x3c(target: str) -> str:
+    result = run(["gen", "x3c", "--n", "1", "--seed", "0", "--target", target])
     assert result.exit_code == 0
     return json.dumps(result.payload)
+
+
+def _criterion_11() -> InstanceDoc:
+    # the game of test_acceptance.test_criterion_11_runtime_sanity_bound
+    rng = random.Random(20_110)
+    sizes = (12, 3)
+    utilities = []
+    for _ in range(2):
+        table = {}
+        for profile in itertools.product(*(range(s) for s in sizes)):
+            value = rng.randint(0, 4)
+            if value:
+                table[profile] = value
+        utilities.append(table)
+    game = Game.make(
+        ["p1", "p2"], [[f"s{k}" for k in range(12)], ["a", "b", "c"]], utilities
+    )
+    return InstanceDoc(game=game, region=RectRegion.make([[0, 1, 2, 3], [0]]))
 
 
 INSTANCES = {
@@ -110,14 +139,20 @@ INSTANCES = {
     "ce1": lambda: serialize_instance(_ce1()),
     "ce1-sweetened": lambda: serialize_instance(_ce1_sweetened()),
     "random-equitable": lambda: serialize_instance(_random_equitable()),
-    "x3c-graphical-n1": _x3c_graphical,
+    "x3c-graphical-n1": lambda: _x3c("graphical"),
+}
+
+SEARCH_INSTANCES = {
+    "criterion-11": lambda: serialize_instance(_criterion_11()),
+    "x3c-2p-n1": lambda: _x3c("2p"),
 }
 
 
 def digest(instance: str, command: str, directory: Path) -> str:
     path = directory / f"{instance}.json"
     if not path.exists():
-        path.write_text(INSTANCES[instance](), encoding="utf-8")
+        build = INSTANCES.get(instance) or SEARCH_INSTANCES[instance]
+        path.write_text(build(), encoding="utf-8")
     result = run(COMMANDS[command] + [str(path)])
     text = json.dumps(result.payload, indent=2)
     return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()} exit={result.exit_code}"
@@ -129,6 +164,11 @@ def test_golden_output(tmp_path, instance, command):
     assert digest(instance, command, tmp_path) == GOLDEN[instance, command]
 
 
+@pytest.mark.parametrize("instance", sorted(SEARCH_INSTANCES))
+def test_golden_search_output(tmp_path, instance):
+    assert digest(instance, "solve", tmp_path) == SEARCH_GOLDEN[instance]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -137,3 +177,6 @@ if __name__ == "__main__":
             for command in sorted(COMMANDS):
                 value = digest(instance, command, Path(scratch))
                 sys.stdout.write(f"    ({instance!r}, {command!r}): {value!r},\n")
+        for instance in sorted(SEARCH_INSTANCES):
+            value = digest(instance, "solve", Path(scratch))
+            sys.stdout.write(f"    {instance!r}: {value!r},\n")

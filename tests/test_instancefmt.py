@@ -123,6 +123,23 @@ def test_malformed_documents():
     ]:
         with pytest.raises(FormatError, match=message):
             parse_instance(json.dumps(dict(EX1_DOCUMENT, region={"sets": sets})))
+    # each edge must be a pair of JSON ints naming two distinct players
+    graphical = {
+        "format": "gipf-1",
+        "kind": "graphical",
+        "players": [{"name": "p1", "strategies": ["a"]}, {"name": "p2", "strategies": ["b"]}],
+    }
+    for edges, message in [
+        ([[0, "1"]], "not a pair of player indices"),
+        ([5], "not a pair of player indices"),
+        ([[0, 1.0]], "not a pair of player indices"),
+        ([[True, 1]], "not a pair of player indices"),
+        ([[0, 1, 1]], "not a pair of player indices"),
+        ([[0, 2]], "unknown player"),
+        ([[1, 1]], "self-loop on player 1"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_instance(json.dumps(dict(graphical, edges=edges)))
 
 
 def test_round_trip_normal(ex1, ex1_promise):

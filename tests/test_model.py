@@ -85,6 +85,10 @@ def test_promise_kind_must_match_game(ex1):
 def test_graphical_game_validation():
     with pytest.raises(ValueError, match="self-loop"):
         GraphicalGame.make(["p1", "p2"], [["a"], ["b"]], [(0, 0)], [{}, {}])
+    for edge in [(0, "1"), 5, (0, 1.0), (True, 1), (0, 1, 1), "01", [0]]:
+        with pytest.raises(ValueError, match="not a pair of player indices"):
+            GraphicalGame.make(["p1", "p2"], [["a"], ["b"]], [edge], [{}, {}])
+    assert GraphicalGame.make(["p1", "p2"], [["a"], ["b"]], [[1, 0]], [{}, {}]).edges == ((0, 1),)
     gg = GraphicalGame.make(
         ["p1", "p2", "p3"],
         [["a", "b"], ["c", "d"], ["e", "f"]],

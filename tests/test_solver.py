@@ -10,6 +10,7 @@ from gimpl import (
     ZERO,
     ExtValue,
     Game,
+    GraphicalGame,
     ModifiedGameView,
     PaymentPromise,
     RectRegion,
@@ -281,6 +282,15 @@ def test_exactify_rejects_full_region(ex1):
     full = RectRegion.full(ex1)
     with pytest.raises(ValueError, match="not equitable"):
         exactify(ex1, full, PaymentPromise.empty(ex1))
+
+
+def test_exactify_rejects_graphical_promise():
+    game = random_game(random.Random(6), n_players=2, min_strats=4, max_strats=4)
+    region = RectRegion.make([[0], [0]])
+    assert is_equitable(game, region)[0]
+    graphical = GraphicalGame.make(game.players, game.strategies, [(0, 1)], [{}, {}])
+    with pytest.raises(ValueError, match="promise"):
+        exactify(game, region, PaymentPromise.empty(graphical))
 
 
 def test_exactify_rejects_infinite_promise_on_region():

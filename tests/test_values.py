@@ -1,5 +1,6 @@
 """Arithmetic and ordering of the exact extended values."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -42,6 +43,21 @@ def test_total_order():
     assert INF <= INF and INF == INF
     assert max(ExtValue(1), INF, ExtValue(5)) == INF
     assert ExtValue(2) >= 2 and ExtValue(2) <= 2
+    assert INF > ExtValue(10**100) and INF >= INF and not INF > INF
+    assert not ExtValue(5) > INF and not ExtValue(5) >= INF
+    assert ExtValue(3) > 2 and ExtValue(3) >= 3 and not ExtValue(2) > 2
+    assert ExtValue("1/2") > Fraction(1, 3) and ExtValue("1/2") >= Fraction(2, 4)
+    assert not ExtValue("1/3") >= Fraction(1, 2)
+    # reflected comparisons with ints and Fractions
+    assert 2 <= ExtValue(2) and 2 >= ExtValue(2) and not 2 < ExtValue(2)
+    assert 10**100 < INF and not 10**100 > INF and 10**100 <= INF
+    assert Fraction(1, 3) < ExtValue("1/2") and Fraction(2, 3) > ExtValue("1/2")
+    for other in (True, "1", 1.0):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(ExtValue(1), other)
+            with pytest.raises(TypeError):
+                compare(other, ExtValue(1))
 
 
 def test_addition_absorbs_infinity():
