@@ -8,7 +8,7 @@ constructions in :mod:`gimpl.reductions`.
 """
 
 from .checking import VerifyReport, cost, verify
-from .domination import DominanceWitness, dominates, find_dominator, undominated, undominated_region
+from .domination import dominates, find_dominator, undominated, undominated_region
 from .instancefmt import FormatError, InstanceDoc, parse_instance, serialize_instance
 from .model import (
     Game,
@@ -35,7 +35,6 @@ from .solver import (
 from .values import INF, ZERO, ExtValue
 
 __all__ = [
-    "DominanceWitness",
     "DominatorMapping",
     "ExtValue",
     "FormatError",

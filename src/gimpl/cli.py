@@ -216,6 +216,9 @@ def _cmd_decode(args) -> CommandResult:
     doc = _load(args.instance)
     if doc.promise is None:
         raise ValueError("decode needs a promise in the instance document")
+    needed = "graphical" if args.kind == "x3cgraph" else "normal"
+    if doc.game.kind != needed:
+        raise ValueError(f"{args.kind} decoding needs a {needed} instance")
     if args.kind == "x3c2p":
         cover = reductions.decode_cover_2p(doc.game, doc.promise)
         inst = reductions.x3c_instance_from_game(doc.game)
@@ -226,8 +229,6 @@ def _cmd_decode(args) -> CommandResult:
             "triples": [list(inst.triples[j]) for j in cover],
         }
     elif args.kind == "x3cgraph":
-        if not isinstance(doc.game, GraphicalGame):
-            raise ValueError("x3cgraph decoding needs a graphical instance")
         budget = doc.budget if doc.budget is not None else ExtValue("1/2")
         cover = reductions.decode_cover_graphical(doc.game, doc.promise, budget)
         payload = {"status": "yes", "kind": "x3cgraph", "cover": list(cover)}
@@ -264,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="minimum-budget implementation search")
     p.add_argument("instance")
     p.add_argument("--exactify", action="store_true", help="rewrite into an exact implementation")
-    p.add_argument("--jobs", type=int, default=None, help="accepted and ignored; the search is serial")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("pne", help="promise-Nash-equilibrium check for the region")

@@ -8,39 +8,21 @@ No iterated elimination happens here; undominatedness is one-shot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import ModifiedGameView, RectRegion
 
 
-@dataclass(frozen=True)
-class DominanceWitness:
-    """Evidence that ``dominating`` weakly beats ``dominated`` for ``player``,
-    with strictness at the opponent profile ``strict_at``."""
-
-    player: int
-    dominating: int
-    dominated: int
-    strict_at: tuple[int, ...]
-
-
-def dominates(
-    view: ModifiedGameView, player: int, x: int, y: int
-) -> DominanceWitness | None:
-    """Return a witness if strategy x dominates strategy y, else None."""
+def dominates(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
+    """Whether strategy x dominates strategy y."""
     if x == y:
         raise ValueError("a strategy cannot dominate itself")
-    strict: tuple[int, ...] | None = None
+    strict = False
     for opp in view.opponent_profiles(player):
         px = view.payoff(player, x, opp)
         py = view.payoff(player, y, opp)
         if px < py:
-            return None
-        if strict is None and py < px:
-            strict = opp
-    if strict is None:
-        return None
-    return DominanceWitness(player, x, y, strict)
+            return False
+        strict = strict or py < px
+    return strict
 
 
 def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
@@ -48,7 +30,7 @@ def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
     size = view.sizes[player]
     kept = []
     for y in range(size):
-        if not any(dominates(view, player, x, y) is not None for x in range(size) if x != y):
+        if not any(dominates(view, player, x, y) for x in range(size) if x != y):
             kept.append(y)
     return tuple(kept)
 
@@ -64,6 +46,6 @@ def find_dominator(view: ModifiedGameView, player: int, y: int) -> int:
     Raises ValueError when ``y`` is itself undominated.
     """
     for x in undominated(view, player):
-        if x != y and dominates(view, player, x, y) is not None:
+        if x != y and dominates(view, player, x, y):
             return x
     raise ValueError(f"strategy {y} of player {player} is undominated")

@@ -67,11 +67,21 @@ def _decode_entries(raw: Any, n_players: int, what: str) -> list[dict[tuple[int,
 
 
 def parse_instance(text: str) -> InstanceDoc:
-    """Parse a gipf-1 document into validated objects."""
+    """Parse a gipf-1 document into validated objects; every fault in it
+    raises FormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, too many digits
         raise FormatError(f"malformed JSON: {exc}") from exc
+    try:
+        return _read_document(doc)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _read_document(doc: Any) -> InstanceDoc:
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
     if doc.get("format") != FORMAT_NAME:
@@ -96,20 +106,15 @@ def parse_instance(text: str) -> InstanceDoc:
 
     utilities = _decode_entries(doc.get("utilities", []), n_players, "utilities")
 
-    try:
-        if kind == "graphical":
-            edges = doc.get("edges")
-            if not isinstance(edges, list):
-                raise FormatError("graphical documents need an edges list")
-            game: AnyGame = GraphicalGame.make(names, strategies, edges, utilities)
-        else:
-            if "edges" in doc:
-                raise FormatError("normal-form documents must not carry edges")
-            game = Game.make(names, strategies, utilities)
-    except ValueError as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(str(exc)) from exc
+    if kind == "graphical":
+        edges = doc.get("edges")
+        if not isinstance(edges, list):
+            raise FormatError("graphical documents need an edges list")
+        game: AnyGame = GraphicalGame.make(names, strategies, edges, utilities)
+    else:
+        if "edges" in doc:
+            raise FormatError("normal-form documents must not carry edges")
+        game = Game.make(names, strategies, utilities)
 
     region = None
     if "region" in doc:
@@ -119,11 +124,8 @@ def parse_instance(text: str) -> InstanceDoc:
         sets = raw_region["sets"]
         if not isinstance(sets, list) or not all(isinstance(m, list) for m in sets):
             raise FormatError(f"region sets must be a list of index lists, got {sets!r}")
-        try:
-            region = RectRegion.make(sets)
-            region.validate_for(game)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        region = RectRegion.make(sets)
+        region.validate_for(game)
 
     budget = None
     if "budget" in doc:
@@ -134,10 +136,7 @@ def parse_instance(text: str) -> InstanceDoc:
     promise = None
     if "promise" in doc:
         tables = _decode_entries(doc["promise"], n_players, "promise")
-        try:
-            promise = PaymentPromise.make(game, tables)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        promise = PaymentPromise.make(game, tables)
 
     return InstanceDoc(game=game, region=region, budget=budget, promise=promise)
 

@@ -103,7 +103,7 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
         view = ModifiedGameView(game, promise)
         for i in range(game.n_players):
             for x, t in zip(domains[i], targets[i]):
-                if dominates(view, i, t, x) is None:
+                if not dominates(view, i, t, x):
                     raise ValueError(
                         f"assignment {t}<-{x} for player {i} fails its domination "
                         "check; this signals an implementation bug"

@@ -594,8 +594,8 @@ def decode_coloring(game: Game, promise: PaymentPromise) -> ColoringInstance:
         shared = [
             c
             for c in COLORS
-            if dominates(view, 0, col_index[(v, c)], v) is not None
-            and dominates(view, 1, col_index[(v, c)], v) is not None
+            if dominates(view, 0, col_index[(v, c)], v)
+            and dominates(view, 1, col_index[(v, c)], v)
         ]
         if not shared:
             raise ValueError(
@@ -635,7 +635,7 @@ def parse_edge_list(text: str) -> ColoringInstance:
             raise ValueError(f"cannot parse edge line {line!r}")
     if not labels:
         raise ValueError("the edge list is empty")
-    if all(label.lstrip("-").isdigit() for label in labels):
+    if all(re.fullmatch(r"-?[0-9]+", label) for label in labels):
         labels.sort(key=int)
     else:
         labels.sort()

@@ -42,8 +42,10 @@ from .model import (
 )
 from .values import INF, ZERO, ExtValue, ValueLike
 
-# Default refusal threshold for the exhaustive search. Hard instances blow
-# past any cap by design; failing fast beats dying on memory mid-enumeration.
+# Default refusal threshold for the assignment search, which bounds its
+# worst-case time (its memory does not grow with the space). It counts the
+# raw space before pruning, so it also refuses some instances the branch and
+# bound would finish quickly.
 MAX_ASSIGNMENTS = 10**6
 
 
@@ -329,7 +331,7 @@ def _infinite_off_region(
 def min_budget_solve(
     game: Game,
     region: RectRegion,
-    jobs: int = 1,
+    *,
     max_assignments: int | None = MAX_ASSIGNMENTS,
 ) -> SolveResult:
     """Smallest worst-case payment over the desired region that makes every
@@ -346,7 +348,7 @@ def min_budget_solve(
     The search is exponential in the number of undesired strategies in the
     worst case; spaces whose raw size (before any pruning) exceeds
     ``max_assignments`` are refused up front (pass ``None`` to search
-    regardless). ``jobs`` is accepted and ignored; the search is serial.
+    regardless).
     """
     game = _require_normal(game)
     region.validate_for(game)
@@ -432,11 +434,10 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
 def solve_exact(
     game: Game,
     region: RectRegion,
-    jobs: int = 1,
+    *,
     max_assignments: int | None = MAX_ASSIGNMENTS,
 ) -> SolveResult:
-    """Minimum-budget search followed by the exactifying rewrite; ``jobs``
-    is accepted and ignored."""
+    """Minimum-budget search followed by the exactifying rewrite."""
     game = _require_normal(game)
     equitable, margins = is_equitable(game, region)
     if not equitable:

@@ -8,19 +8,23 @@ strictly above every finite value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
 ValueLike = Union[int, Fraction, str, "ExtValue"]
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 @total_ordering
 class ExtValue:
     """An exact rational extended with +infinity.
 
-    Accepts ints, Fractions, other ExtValues, or strings ("7", "11/10",
-    "inf"). Finite values are normalized to lowest terms with a positive
+    Accepts ints, Fractions, other ExtValues, or strings ("7", "-11/10",
+    "inf"); a string must be an int or "p/q" after stripping whitespace, so
+    decimals, exponents and underscores are refused. Finite values are normalized to lowest terms with a positive
     denominator by the underlying Fraction.
     """
 
@@ -39,6 +43,8 @@ class ExtValue:
                 self._frac = None
             else:
                 try:
+                    if not _RATIONAL.fullmatch(text):
+                        raise ValueError
                     self._frac = Fraction(text)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"malformed rational {value!r}") from exc

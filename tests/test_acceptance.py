@@ -112,7 +112,7 @@ def test_criterion_04_domination_property_suite():
         for i in range(game.n_players):
             size = game.sizes[i]
             dom = {
-                (x, y): dominates(view, i, x, y) is not None
+                (x, y): dominates(view, i, x, y)
                 for x in range(size)
                 for y in range(size)
                 if x != y

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payloads, and output stability."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from gimpl import (
     ExtValue,
+    GraphicalGame,
     InstanceDoc,
     PaymentPromise,
     RectRegion,
@@ -51,8 +53,6 @@ def test_analyze_applies_promise(tmp_path, ex1, ex1_promise):
 
 
 def test_pne_on_graphical_document(tmp_path):
-    from gimpl import GraphicalGame
-
     gg = GraphicalGame.make(
         ["left", "hub"],
         [["T", "F"], ["T", "F"]],
@@ -102,6 +102,8 @@ def test_error_exit_code(tmp_path):
     bad.write_text("{", encoding="utf-8")
     assert run(["analyze", str(bad)]).exit_code == 1
     assert run(["frobnicate", "x"]).exit_code == 1
+    jobs = run(["solve", str(bad), "--jobs", "1"])  # the option is gone
+    assert jobs.exit_code == 1 and jobs.payload["error"] == "invalid command line"
 
 
 def test_malformed_region_exits_with_one_line_error(tmp_path, ex1):
@@ -137,7 +139,7 @@ def test_malformed_edge_exits_with_one_line_error(tmp_path):
 
 def test_solve_counterexample(tmp_path, ce1, ce1_region):
     path = _write(tmp_path, "ce1.json", InstanceDoc(game=ce1, region=ce1_region))
-    result = run(["solve", path, "--jobs", "1"])
+    result = run(["solve", path])
     assert result.status == "yes"
     assert result.payload["delta"] == 0
     assert result.payload["mapping"] == [[], [[1, 0]]]
@@ -161,7 +163,7 @@ def test_solve_exactify_pipeline(tmp_path):
     path = _write(
         tmp_path, "eq.json", InstanceDoc(game=game, region=RectRegion.make([[0], [0]]))
     )
-    result = run(["solve", str(path), "--exactify", "--jobs", "1"])
+    result = run(["solve", str(path), "--exactify"])
     assert result.status == "yes"
     assert result.payload["exactified"] is True
     out = tmp_path / "exact.json"
@@ -172,7 +174,7 @@ def test_solve_exactify_pipeline(tmp_path):
 
 def test_solve_exactify_reports_margins(tmp_path, ce1, ce1_region):
     path = _write(tmp_path, "ce1.json", InstanceDoc(game=ce1, region=ce1_region))
-    result = run(["solve", path, "--exactify", "--jobs", "1"])
+    result = run(["solve", path, "--exactify"])
     assert result.status == "error"
     assert "not equitable" in result.payload["error"]
     assert "(-1, -1)" in result.payload["error"]
@@ -242,7 +244,7 @@ def test_solve_expands_graphical_instances(tmp_path):
     path.write_text(json.dumps(generated.payload), encoding="utf-8")
     analyzed = run(["analyze", str(path)])
     assert analyzed.payload["kind"] == "graphical"
-    solved = run(["solve", str(path), "--jobs", "1"])
+    solved = run(["solve", str(path)])
     assert solved.status == "yes"
     assert solved.payload["instance"]["kind"] == "normal"
     out = tmp_path / "solved.json"
@@ -260,7 +262,7 @@ def test_graphical_expansion_above_profile_cap_is_refused(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(generated.payload), encoding="utf-8")
     assert run(["analyze", str(path)]).status == "yes"  # works on the graph directly
-    for command in (["solve", "--jobs", "1"], ["oracle"]):
+    for command in (["solve"], ["oracle"]):
         proc = subprocess.run(
             [sys.executable, "-m", "gimpl.cli", *command, str(path)],
             capture_output=True,
@@ -365,3 +367,113 @@ def test_cli_exit_code_no(tmp_path, ce1):
         [sys.executable, "-m", "gimpl.cli", "pne", str(path)], capture_output=True
     )
     assert proc.returncode == 2
+
+
+def _run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "gimpl.cli", *argv], capture_output=True, timeout=5
+    )
+
+
+def _assert_one_line_error(proc):
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "error"
+    assert proc.stderr.decode().startswith("gimpl: ")
+    assert proc.stderr.decode().count("\n") == 1
+
+
+def test_bad_inputs_exit_quickly_with_one_line_error(tmp_path, ex1):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000, encoding="utf-8")
+    _assert_one_line_error(_run_cli("analyze", str(deep)))
+
+    document = json.loads(serialize_instance(InstanceDoc(game=ex1)))
+    exponent = tmp_path / "exponent.json"
+    exponent.write_text(
+        json.dumps(dict(document, region={"sets": [[0], [0]]}, budget="1e100000000")),
+        encoding="utf-8",
+    )
+    proc = _run_cli("verify", str(exponent))
+    _assert_one_line_error(proc)
+    assert "malformed rational" in proc.stderr.decode()
+
+
+def test_decode_rejects_a_graphical_document_for_normal_kinds(tmp_path):
+    names = ["v:a", "v:b", "c:a:1", "c:a:2", "c:a:3", "c:b:1", "c:b:2", "c:b:3"]
+    document = {
+        "format": "gipf-1",
+        "kind": "graphical",
+        "players": [{"name": "p0", "strategies": names}, {"name": "p1", "strategies": names}],
+        "edges": [[0, 1]],
+        "promise": [{"player": 0, "profile": [0, 0], "value": 1}],
+    }
+    path = tmp_path / "graphical.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for kind in ("coloring", "x3c2p"):
+        proc = _run_cli("decode", "--kind", kind, str(path))
+        _assert_one_line_error(proc)
+        assert proc.stderr.decode() == f"gimpl: {kind} decoding needs a normal instance\n"
+
+
+_MUTANTS = [
+    "1e100000000", 1.5, True, False, None, 10**30, -1, 0, 2, "inf", "1/0", "x",
+    [], {}, [[]], [[0], [0]], [[[0, [1]], []]], {"player": 0, "profile": [0, 0], "value": 1},
+]
+
+
+def _node_paths(node, path=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _node_paths(child, path + (key,))
+
+
+def _mutate(document, rng):
+    """A deep copy of ``document`` with one or two nodes replaced or deleted."""
+    document = json.loads(json.dumps(document))
+    for _ in range(rng.choice((1, 2))):
+        *parents, key = rng.choice(list(_node_paths(document)))
+        parent = document
+        for step in parents:
+            parent = parent[step]
+        if rng.random() < 0.25:
+            del parent[key]
+        else:
+            parent[key] = json.loads(json.dumps(rng.choice(_MUTANTS)))
+    return document
+
+
+def test_mutated_documents_exit_cleanly(tmp_path, ex1, ex1_region, ex1_promise):
+    path_game = GraphicalGame.make(
+        ["a", "b", "c"],
+        [["T", "F"], ["T", "F"], ["T", "F"]],
+        [(0, 1), (1, 2)],
+        [{(0, 0): 2, (1, 1): 1}, {(0, 0, 0): 1, (1, 0, 1): 3}, {(0, 0): 1, (1, 1): 2}],
+    )
+    bases = [
+        json.loads(serialize_instance(InstanceDoc(
+            game=ex1, region=ex1_region, budget=ExtValue("11/10"), promise=ex1_promise
+        ))),
+        json.loads(serialize_instance(InstanceDoc(
+            game=path_game,
+            region=RectRegion.make([[0], [0, 1], [0]]),
+            budget=ExtValue(1),
+            promise=PaymentPromise.make(path_game, [{(0, 0): 1}, {}, {}]),
+        ))),
+    ]
+    rng = random.Random(9)
+    path = tmp_path / "mutant.json"
+    emitted = tmp_path / "emitted.json"
+    solved = 0
+    for _ in range(200):
+        path.write_text(json.dumps(_mutate(rng.choice(bases), rng)), encoding="utf-8")
+        for command in ("analyze", "verify", "pne", "solve"):
+            result = run([command, str(path)])
+            assert result.status in ("yes", "no", "error")
+            assert json.loads(json.dumps(result.payload))["status"] == result.status
+            if command == "solve" and result.status == "yes":
+                emitted.write_text(json.dumps(result.payload["instance"]), encoding="utf-8")
+                assert run(["verify", str(emitted)]).status == "yes"
+                solved += 1
+    assert solved  # some mutants stay solvable, so the re-verification runs

@@ -21,11 +21,9 @@ from _support import random_game
 
 def test_worked_example_witness(ex1):
     view = ModifiedGameView(ex1)
-    witness = dominates(view, 0, 0, 2)  # s1 vs s3
-    assert witness is not None
-    assert witness.strict_at == (0,)  # strict against t1
-    assert dominates(view, 1, 0, 1) is None  # t1 vs t2: all payoffs equal
-    assert dominates(view, 0, 0, 1) is None  # s1 vs s2: 2 > 1 at t1
+    assert dominates(view, 0, 0, 2) is True  # s1 vs s3: strict against t1
+    assert dominates(view, 1, 0, 1) is False  # t1 vs t2: all payoffs equal
+    assert dominates(view, 0, 0, 1) is False  # s1 vs s2: 2 > 1 at t1
 
 
 def test_dominates_rejects_equal_strategies(ex1):
@@ -65,7 +63,7 @@ def test_find_dominator(ex1, ce1):
 def _dominance_matrix(view, player):
     size = view.sizes[player]
     return {
-        (x, y): dominates(view, player, x, y) is not None
+        (x, y): dominates(view, player, x, y)
         for x in range(size)
         for y in range(size)
         if x != y
@@ -103,18 +101,16 @@ def test_witnesses_reverify_by_exhaustive_scan():
         view = ModifiedGameView(game)
         for i in range(game.n_players):
             for x, y in itertools.permutations(range(game.sizes[i]), 2):
-                witness = dominates(view, i, x, y)
-                if witness is None:
-                    continue
                 opponents = list(view.opponent_profiles(i))
-                assert all(
+                never_worse = all(
                     view.payoff(i, x, opp) >= view.payoff(i, y, opp)
                     for opp in opponents
                 )
-                assert witness.strict_at in opponents
-                assert view.payoff(i, x, witness.strict_at) > view.payoff(
-                    i, y, witness.strict_at
+                somewhere_better = any(
+                    view.payoff(i, x, opp) > view.payoff(i, y, opp)
+                    for opp in opponents
                 )
+                assert dominates(view, i, x, y) is (never_worse and somewhere_better)
 
 
 def _random_graphical(rng):

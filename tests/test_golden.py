@@ -31,8 +31,8 @@ from _support import random_equitable_instance
 
 COMMANDS = {
     "analyze": ["analyze"],
-    "solve": ["solve", "--jobs", "1"],
-    "solve-exactify": ["solve", "--exactify", "--jobs", "1"],
+    "solve": ["solve"],
+    "solve-exactify": ["solve", "--exactify"],
     "pne": ["pne"],
     "oracle": ["oracle"],
 }

@@ -140,6 +140,16 @@ def test_malformed_documents():
     ]:
         with pytest.raises(FormatError, match=message):
             parse_instance(json.dumps(dict(graphical, edges=edges)))
+    # value strings are ints or p/q only; an exponent must not be expanded
+    with pytest.raises(FormatError, match="budget: malformed rational"):
+        parse_instance(json.dumps(dict(EX1_DOCUMENT, budget="1e100000000")))
+
+
+def test_unreadable_json_is_a_format_error():
+    with pytest.raises(FormatError, match="malformed JSON"):
+        parse_instance("[" * 200000)
+    with pytest.raises(FormatError, match="malformed JSON"):
+        parse_instance(json.dumps(EX1_DOCUMENT)[:-1] + ', "budget": ' + "9" * 5000 + "}")
 
 
 def test_round_trip_normal(ex1, ex1_promise):

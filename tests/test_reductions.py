@@ -357,6 +357,11 @@ def test_parse_edge_list():
     graph = parse_edge_list("# triangle\n0 1\n1 2\n2 0\n3\n")
     assert graph.vertices == ("0", "1", "2", "3")
     assert graph.edges == ((0, 1), (0, 2), (1, 2))
+    assert parse_edge_list("10 9\n-2 9\n").vertices == ("-2", "9", "10")
+    assert parse_edge_list("b a\nc a\n").vertices == ("a", "b", "c")
+    # labels that only look numeric sort as text
+    assert parse_edge_list("1 2\n2 --3\n").vertices == ("--3", "1", "2")
+    assert parse_edge_list("\u00b2 1\n").vertices == ("1", "\u00b2")
     with pytest.raises(ValueError):
         parse_edge_list("a b c\n")
     with pytest.raises(ValueError):

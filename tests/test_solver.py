@@ -126,7 +126,7 @@ def test_solver_dominance_guarantee_on_random_instances():
         view = ModifiedGameView(game, result.promise)
         for i in range(game.n_players):
             for x, t in zip(result.mapping.domains[i], result.mapping.targets[i]):
-                assert dominates(view, i, t, x) is not None
+                assert dominates(view, i, t, x)
         assert verify(game, result.promise, region, result.delta, "subset").holds
         # the infinite rows never touch a surviving profile, so the real
         # cost stays finite and within the returned budget
@@ -169,15 +169,6 @@ def test_determinism(ex1, ex1_region):
     a = min_budget_solve(ex1, ex1_region)
     b = min_budget_solve(ex1, ex1_region)
     assert a == b
-
-
-def test_parallel_matches_serial():
-    rng = random.Random(2024)
-    game = random_game(rng, n_players=2, min_strats=4, max_strats=4)
-    region = RectRegion.make([[0], [0]])
-    serial = min_budget_solve(game, region, jobs=1)
-    parallel = min_budget_solve(game, region, jobs=2)
-    assert serial == parallel
 
 
 def test_solver_returns_the_oracles_first_optimum():

@@ -31,6 +31,9 @@ def test_rejects_junk():
         ExtValue("1/0")
     with pytest.raises(ValueError):
         ExtValue("spam")
+    for text in ("1e5", "1.5", "1_000"):
+        with pytest.raises(ValueError, match="malformed rational"):
+            ExtValue(text)
     with pytest.raises(TypeError):
         ExtValue(1.5)
     with pytest.raises(TypeError):
