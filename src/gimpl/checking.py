@@ -10,10 +10,11 @@ desired strategy stays undominated.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .domination import undominated_region
-from .model import AnyGame, ModifiedGameView, PaymentPromise, RectRegion
+from .model import MAX_PROFILES, AnyGame, ModifiedGameView, PaymentPromise, RectRegion
 from .values import ZERO, ExtValue
 
 
@@ -28,6 +29,14 @@ class VerifyReport:
 
 
 def _max_payment_over(view: ModifiedGameView, region: RectRegion) -> ExtValue:
+    """Largest total payment over the profiles of ``region``; regions with
+    more than ``MAX_PROFILES`` profiles are refused before any enumeration."""
+    count = math.prod(map(len, region.sets))
+    if count > MAX_PROFILES:
+        raise ValueError(
+            f"cost needs the {count} profiles of the undominated region, above the "
+            f"{MAX_PROFILES} cap"
+        )
     worst = ZERO
     n = view.n_players
     for profile in itertools.product(*region.sets):

@@ -1,7 +1,10 @@
 """Command-line interface over gipf-1 instance documents.
 
 Every subcommand prints a single JSON object to stdout (diagnostics go to
-stderr) and exits 0 for yes, 2 for no, 1 for errors. Values are printed as
+stderr) and exits 0 for yes, 2 for no, 1 for errors; an error, a bad command
+line included, prints one ``gimpl: ...`` line to stderr. The output is byte
+for byte ``json.dumps(payload, indent=2)`` plus a newline, written in chunks
+as it is rendered (one per promise or utility entry). Values are printed as
 exact rationals, never floats. ``gen`` emits a bare instance document so
 its output can be piped straight back into the other subcommands.
 """
@@ -19,7 +22,13 @@ from typing import Any
 from . import reductions
 from .checking import VerifyReport, verify
 from .domination import undominated_region
-from .instancefmt import InstanceDoc, encode_entries, instance_to_dict, parse_instance
+from .instancefmt import (
+    InstanceDoc,
+    StreamingEncoder,
+    encode_entries,
+    instance_to_dict,
+    parse_instance,
+)
 from .model import GraphicalGame, ModifiedGameView, expand_graphical
 from .oracle import oracle_min_budget
 from .solver import (
@@ -245,8 +254,16 @@ def _cmd_decode(args) -> CommandResult:
     return CommandResult("yes", payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line instead of printing usage and exiting;
+    subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gimpl",
         description="Compute, verify, and exactify payment promises that "
         "implement desired strategy sets in finite games.",
@@ -299,11 +316,11 @@ def run(argv: list[str]) -> CommandResult:
     """Dispatch one command line; never raises on domain errors."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code in (0, None):  # --help and friends
-            raise
-        return CommandResult("error", {"status": "error", "error": "invalid command line"})
+        args = parser.parse_args(argv)  # --help still prints usage and exits 0
+    except argparse.ArgumentError as exc:
+        return CommandResult(
+            "error", {"status": "error", "error": f"invalid command line: {exc}"}
+        )
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -313,7 +330,7 @@ def run(argv: list[str]) -> CommandResult:
 def main() -> None:
     result = run(sys.argv[1:])
     try:
-        json.dump(result.payload, sys.stdout, indent=2)
+        json.dump(result.payload, sys.stdout, indent=2, cls=StreamingEncoder)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:

@@ -4,13 +4,19 @@ optional region, budget, and promise.
 Sparse tables: utility and promise entries omitted from the document are 0.
 Values are JSON ints or strings "p/q" (lowest terms) and "inf"; floats are
 rejected to keep everything exact.
+
+Documents and CLI payloads are written by ``iter_json``, which yields the text
+of ``json.dumps(obj, indent=2)`` in chunks and renders gipf-1 entry lists with
+one string template per entry.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Iterator, Mapping, Sequence
 
 from .model import AnyGame, Game, GraphicalGame, PaymentPromise, RectRegion
 from .values import ZERO, ExtValue
@@ -47,6 +53,7 @@ def _decode_entries(raw: Any, n_players: int, what: str) -> list[dict[tuple[int,
     if not isinstance(raw, list):
         raise FormatError(f"{what} must be a list of entries")
     tables: list[dict[tuple[int, ...], ExtValue]] = [{} for _ in range(n_players)]
+    decoded: dict[int | str, ExtValue] = {}  # values repeat; ExtValue is immutable
     for entry in raw:
         if not isinstance(entry, dict):
             raise FormatError(f"{what} entries must be objects")
@@ -56,13 +63,16 @@ def _decode_entries(raw: Any, n_players: int, what: str) -> list[dict[tuple[int,
             value = entry["value"]
         except KeyError as exc:
             raise FormatError(f"{what} entry is missing {exc}") from exc
-        if not isinstance(player, int) or isinstance(player, bool) or not 0 <= player < n_players:
+        # json.loads gives exact types, so type() tests match isinstance here;
+        # index ranges and key lengths are checked by the model
+        if type(player) is not int or not 0 <= player < n_players:
             raise FormatError(f"{what}: player {player!r} out of range")
-        if not isinstance(profile, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in profile
-        ):
+        if type(profile) is not list or not set(map(type, profile)) <= {int}:
             raise FormatError(f"{what}: profile must be a list of ints, got {profile!r}")
-        tables[player][tuple(profile)] = _decode_value(value, what)
+        ext = decoded.get(value) if type(value) in (int, str) else None
+        if ext is None:
+            ext = decoded[value] = _decode_value(value, what)
+        tables[player][tuple(profile)] = ext
     return tables
 
 
@@ -175,4 +185,99 @@ def instance_to_dict(doc: InstanceDoc) -> dict[str, Any]:
 
 
 def serialize_instance(doc: InstanceDoc) -> str:
-    return json.dumps(instance_to_dict(doc), indent=2) + "\n"
+    return "".join(iter_json(instance_to_dict(doc))) + "\n"
+
+
+_ATOMS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+}
+_ENTRY_KEYS = ("player", "profile", "value")
+
+
+def _is_entry(item: Any) -> bool:
+    """Whether ``item`` is a gipf-1 entry the template renders: exactly the
+    keys player, profile, value in that order, an int player, a nonempty list
+    of ints as the profile and an int or str value."""
+    if type(item) is not dict or tuple(item) != _ENTRY_KEYS:
+        return False
+    player, profile, value = item.values()
+    return (
+        type(player) is int
+        and type(profile) is list
+        and set(map(type, profile)) == {int}
+        and type(value) in (int, str)
+    )
+
+
+@cache
+def _entry_template(depth: int, length: int) -> str:
+    """The %-template of one entry of an entry list at ``depth``: a separator,
+    the player, ``length`` profile indices and the rendered value."""
+    one, two, three = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+    return (
+        f'%s{one}{{{two}"player": %d,{two}"profile": [{three}'
+        + f",{three}".join(["%d"] * length)
+        + f'{two}],{two}"value": %s{one}}}'
+    )
+
+
+def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)``, in chunks.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None, matched
+    on exact type; anything else raises TypeError. A list of ints is one
+    chunk, and a list of gipf-1 entries is one chunk per entry.
+    """
+    kind = type(obj)
+    atom = _ATOMS.get(kind)
+    if atom is not None:
+        yield atom(obj)
+        return
+    if kind not in (dict, list, tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        yield "{}" if kind is dict else "[]"
+        return
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    if kind is dict:
+        prefix = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield prefix + _quote(key) + ": "
+            yield from iter_json(value, depth + 1)
+            prefix = "," + inner
+        yield outer + "}"
+    elif set(map(type, obj)) == {int}:
+        yield "[" + inner + f",{inner}".join(map(int.__repr__, obj)) + outer + "]"
+    elif all(map(_is_entry, obj)):
+        prefix = "["
+        for item in obj:
+            player, profile, value = item.values()
+            text = value if type(value) is int else _quote(value)
+            yield _entry_template(depth, len(profile)) % (prefix, player, *profile, text)
+            prefix = ","
+        yield outer + "]"
+    else:
+        prefix = "[" + inner
+        for item in obj:
+            yield prefix
+            yield from iter_json(item, depth + 1)
+            prefix = "," + inner
+        yield outer + "]"
+
+
+class StreamingEncoder(json.JSONEncoder):
+    """``json.dump(obj, fp, indent=2, cls=StreamingEncoder)`` writes the text
+    of ``json.dumps(obj, indent=2)`` through ``iter_json``, in chunks."""
+
+    def iterencode(self, o: Any, _one_shot: bool = False) -> Iterator[str]:
+        settings = (self.indent, self.sort_keys, self.ensure_ascii,
+                    self.item_separator, self.key_separator)
+        if settings != (2, False, True, ",", ": "):
+            raise ValueError("StreamingEncoder writes json.dumps(obj, indent=2) text only")
+        return iter_json(o)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Union
@@ -30,7 +31,8 @@ from .values import ZERO, ExtValue, ValueLike
 Profile = tuple[int, ...]
 LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical games
 
-# Largest number of full strategy profiles ``expand_graphical`` enumerates.
+# Largest number of full strategy profiles ``expand_graphical`` enumerates, and
+# of undominated profiles ``checking`` sums payments over.
 MAX_PROFILES = 2**16
 
 
@@ -53,15 +55,29 @@ def _canonical_table(
     allow_negative: bool,
 ) -> dict[tuple[int, ...], ExtValue]:
     table: dict[tuple[int, ...], ExtValue] = {}
+    width = len(sizes)
     for key, value in (raw or {}).items():
-        prof = _check_profile(key, sizes, what)
-        ext = ExtValue(value)
+        # exact ints in range pass here at C speed; anything else gets the
+        # full check and its message
+        if (
+            set(map(type, key)) == {int}
+            and len(key) == width
+            and min(key) >= 0
+            and all(map(operator.lt, key, sizes))
+        ):
+            prof = tuple(key)
+        else:
+            prof = _check_profile(key, sizes, what)
+        ext = value if type(value) is ExtValue else ExtValue(value)
         if not ext.is_finite:
             if not allow_infinite:
                 raise ValueError(f"infinite utility at {what} {prof}")
-        elif not allow_negative and ext < ZERO:
+            table[prof] = ext
+            continue
+        sign = ext.fraction.numerator
+        if sign < 0 and not allow_negative:
             raise ValueError(f"negative promise at {what} {prof}")
-        if ext != ZERO:
+        if sign:
             table[prof] = ext
     return table
 
@@ -422,8 +438,8 @@ def _flatten(
     tables: list[dict[Profile, ExtValue]] = [{} for _ in local_tables]
     for profile in gg.profiles():
         for i, local in enumerate(local_tables):
-            value = local.get(gg.local_key(i, profile), ZERO)
-            if value != ZERO:
+            value = local.get(gg.local_key(i, profile))
+            if value is not None:  # the callers' ``make`` drops zero entries
                 tables[i][profile] = value
     return tables
 

@@ -15,7 +15,7 @@ from gimpl import (
     RectRegion,
     serialize_instance,
 )
-from gimpl.cli import run
+from gimpl.cli import main, run
 
 
 def _write(tmp_path, name, doc: InstanceDoc) -> str:
@@ -103,7 +103,8 @@ def test_error_exit_code(tmp_path):
     assert run(["analyze", str(bad)]).exit_code == 1
     assert run(["frobnicate", "x"]).exit_code == 1
     jobs = run(["solve", str(bad), "--jobs", "1"])  # the option is gone
-    assert jobs.exit_code == 1 and jobs.payload["error"] == "invalid command line"
+    assert jobs.exit_code == 1
+    assert jobs.payload["error"] == "invalid command line: unrecognized arguments: --jobs 1"
 
 
 def test_malformed_region_exits_with_one_line_error(tmp_path, ex1):
@@ -413,6 +414,51 @@ def test_decode_rejects_a_graphical_document_for_normal_kinds(tmp_path):
         proc = _run_cli("decode", "--kind", kind, str(path))
         _assert_one_line_error(proc)
         assert proc.stderr.decode() == f"gimpl: {kind} decoding needs a normal instance\n"
+
+
+def _main(monkeypatch, *argv):
+    """Exit code of ``gimpl.cli.main`` on a command line, run in-process."""
+    monkeypatch.setattr(sys, "argv", ["gimpl", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    return exit_info.value.code
+
+
+def test_bad_command_line_prints_one_stderr_line(monkeypatch, capsys):
+    for argv, reason in [
+        (["solve", "x.json", "--jobs", "1"], "unrecognized arguments: --jobs 1"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["gen", "x3c", "--n", "two"], "argument --n: invalid int value: 'two'"),
+        ([], "the following arguments are required: command"),
+    ]:
+        assert _main(monkeypatch, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"gimpl: invalid command line: {reason}")
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.out)["status"] == "error"
+    assert _main(monkeypatch, "solve", "--help") == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: gimpl solve") and captured.err == ""
+
+
+def test_verify_refuses_an_oversized_undominated_region(tmp_path):
+    # a 20-player path where every strategy stays undominated: summing the
+    # payments would enumerate 2^20 profiles
+    n = 20
+    edges = [(i, i + 1) for i in range(n - 1)]
+    game = GraphicalGame.make(
+        [f"p{i}" for i in range(n)], [["a", "b"]] * n, edges, [None] * n
+    )
+    promise = PaymentPromise.make(
+        game,
+        [{(s, *[0] * len(game.neighborhoods[i])): 1 for s in (0, 1)} for i in range(n)],
+    )
+    doc = InstanceDoc(
+        game=game, region=RectRegion.full(game), budget=ExtValue(n), promise=promise
+    )
+    proc = _run_cli("verify", _write(tmp_path, "path.json", doc))
+    _assert_one_line_error(proc)
+    assert "above the 65536 cap" in proc.stderr.decode()
 
 
 _MUTANTS = [

@@ -10,6 +10,10 @@ A second list, ``SEARCH_GOLDEN``, runs ``solve`` alone on instances whose
 raw assignment spaces (65,536 and 531,441 assignments) only the search's
 pruning gets through in test time; ``oracle`` cannot enumerate them.
 
+The digests hash the standard library's rendering of each payload. Two more
+tests tie what the program writes to that rendering: ``gimpl.cli.main``'s
+stdout on every case, and ``serialize_instance`` on every instance.
+
 To print the current digests: ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
 
@@ -24,8 +28,16 @@ from pathlib import Path
 
 import pytest
 
-from gimpl import Game, InstanceDoc, PaymentPromise, RectRegion, serialize_instance
-from gimpl.cli import run
+from gimpl import (
+    Game,
+    InstanceDoc,
+    PaymentPromise,
+    RectRegion,
+    parse_instance,
+    serialize_instance,
+)
+from gimpl.cli import main, run
+from gimpl.instancefmt import instance_to_dict
 
 from _support import random_equitable_instance
 
@@ -148,12 +160,19 @@ SEARCH_INSTANCES = {
 }
 
 
-def digest(instance: str, command: str, directory: Path) -> str:
+def _build(instance: str) -> str:
+    return (INSTANCES.get(instance) or SEARCH_INSTANCES[instance])()
+
+
+def _argv(instance: str, command: str, directory: Path) -> list[str]:
     path = directory / f"{instance}.json"
     if not path.exists():
-        build = INSTANCES.get(instance) or SEARCH_INSTANCES[instance]
-        path.write_text(build(), encoding="utf-8")
-    result = run(COMMANDS[command] + [str(path)])
+        path.write_text(_build(instance), encoding="utf-8")
+    return COMMANDS[command] + [str(path)]
+
+
+def digest(instance: str, command: str, directory: Path) -> str:
+    result = run(_argv(instance, command, directory))
     text = json.dumps(result.payload, indent=2)
     return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()} exit={result.exit_code}"
 
@@ -167,6 +186,27 @@ def test_golden_output(tmp_path, instance, command):
 @pytest.mark.parametrize("instance", sorted(SEARCH_INSTANCES))
 def test_golden_search_output(tmp_path, instance):
     assert digest(instance, "solve", tmp_path) == SEARCH_GOLDEN[instance]
+
+
+ALL_CASES = sorted(GOLDEN) + [(instance, "solve") for instance in sorted(SEARCH_GOLDEN)]
+
+
+@pytest.mark.parametrize("instance, command", ALL_CASES)
+def test_main_writes_the_stdlib_rendering(tmp_path, monkeypatch, capsys, instance, command):
+    argv = _argv(instance, command, tmp_path)
+    result = run(argv)
+    monkeypatch.setattr(sys, "argv", ["gimpl", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert capsys.readouterr().out == json.dumps(result.payload, indent=2) + "\n"
+    assert exit_info.value.code == result.exit_code
+
+
+@pytest.mark.parametrize("instance", sorted(INSTANCES) + sorted(SEARCH_INSTANCES))
+def test_serialize_instance_matches_the_stdlib(instance):
+    doc = parse_instance(_build(instance))
+    expected = json.dumps(instance_to_dict(doc), indent=2) + "\n"
+    assert serialize_instance(doc) == expected
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Game, region, promise, and view construction plus graphical expansion."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from gimpl import (
     expand_graphical_promise,
 )
 
+from gimpl.instancefmt import FormatError, parse_instance
+
 from _support import random_game
 
 
@@ -29,6 +32,68 @@ def test_game_validation():
     with pytest.raises(ValueError, match="infinite utility"):
         Game.make(["p1"], [["a"]], [{(0,): "inf"}])
 
+
+# Messages recorded from the per-element key check, before keys of exact ints
+# in range got a fast path: (parse_instance, Game.make / PaymentPromise.make).
+_BAD_KEYS = {
+    "bool": (
+        [True, 0],
+        "{doc}: profile must be a list of ints, got [True, 0]",
+        "index out of range in {key} of player 1: position 0 holds True",
+    ),
+    "float": (
+        [0.0, 0],
+        "{doc}: profile must be a list of ints, got [0.0, 0]",
+        "index out of range in {key} of player 1: position 0 holds 0.0",
+    ),
+    "negative": (
+        [-1, 0],
+        "index out of range in {key} of player 1: position 0 holds -1",
+        "index out of range in {key} of player 1: position 0 holds -1",
+    ),
+    "out of range": (
+        [0, 3],
+        "index out of range in {key} of player 1: position 1 holds 3",
+        "index out of range in {key} of player 1: position 1 holds 3",
+    ),
+    "short": (
+        [0],
+        "{key} of player 1 has 1 entries, expected 2",
+        "{key} of player 1 has 1 entries, expected 2",
+    ),
+    "long": (
+        [0, 0, 0],
+        "{key} of player 1 has 3 entries, expected 2",
+        "{key} of player 1 has 3 entries, expected 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_KEYS))
+@pytest.mark.parametrize(
+    "field, key_name", [("utilities", "utility profile"), ("promise", "promise key")]
+)
+def test_bad_keys_keep_their_messages(case, field, key_name):
+    key, parse_message, make_message = _BAD_KEYS[case]
+    names, strategies = ["a", "b"], [["x", "y"], ["x", "y", "z"]]
+    document = {
+        "format": "gipf-1",
+        "kind": "normal",
+        "players": [{"name": n, "strategies": s} for n, s in zip(names, strategies)],
+        field: [{"player": 1, "profile": key, "value": 1}],
+    }
+    with pytest.raises(FormatError) as parsed:
+        parse_instance(json.dumps(document))
+    assert str(parsed.value) == parse_message.format(doc=field, key=key_name)
+
+    game = Game.make(names, strategies, [{}, {}])
+    table = {tuple(key): 1}
+    with pytest.raises(ValueError) as made:
+        if field == "utilities":
+            Game.make(names, strategies, [{}, table])
+        else:
+            PaymentPromise.make(game, [{}, table])
+    assert str(made.value) == make_message.format(key=key_name)
 
 def test_zero_entries_are_dropped():
     g1 = Game.make(["p1"], [["a", "b"]], [{(0,): 0, (1,): 2}])
