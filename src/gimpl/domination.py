@@ -3,36 +3,39 @@
 A strategy x dominates y for player i when x is never worse than y against
 any joint opponent choice and strictly better against at least one. For
 graphical views the opponent choices range over the neighborhood only.
-No iterated elimination happens here; undominatedness is one-shot.
+Both tests compare the view's integer payoff columns, which it builds once
+per player. No iterated elimination happens here; undominatedness is
+one-shot.
 """
 
 from __future__ import annotations
 
+import operator
+
 from .model import ModifiedGameView, RectRegion
+
+
+def _beats(cx: list[int], cy: list[int]) -> bool:
+    """Whether payoff column ``cx`` is never below ``cy`` and not equal to it."""
+    return all(map(operator.ge, cx, cy)) and cx != cy
 
 
 def dominates(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
     """Whether strategy x dominates strategy y."""
     if x == y:
         raise ValueError("a strategy cannot dominate itself")
-    strict = False
-    for opp in view.opponent_profiles(player):
-        px = view.payoff(player, x, opp)
-        py = view.payoff(player, y, opp)
-        if px < py:
-            return False
-        strict = strict or py < px
-    return strict
+    columns = view.columns(player)
+    return _beats(columns[x], columns[y])
 
 
 def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
     """Strategies of ``player`` that no other strategy dominates."""
-    size = view.sizes[player]
-    kept = []
-    for y in range(size):
-        if not any(dominates(view, player, x, y) for x in range(size) if x != y):
-            kept.append(y)
-    return tuple(kept)
+    columns = view.columns(player)
+    return tuple(
+        y
+        for y, cy in enumerate(columns)
+        if not any(_beats(cx, cy) for x, cx in enumerate(columns) if x != y)
+    )
 
 
 def undominated_region(view: ModifiedGameView) -> RectRegion:

@@ -151,14 +151,19 @@ def _read_document(doc: Any) -> InstanceDoc:
     return InstanceDoc(game=game, region=region, budget=budget, promise=promise)
 
 
-def encode_entries(tables: Sequence[Mapping[tuple[int, ...], ExtValue]]) -> list[dict[str, Any]]:
+class EntryList(list):
+    """A gipf-1 entry list built by ``encode_entries``; ``iter_json`` renders
+    its entries with the template without checking each one."""
+
+
+def encode_entries(tables: Sequence[Mapping[tuple[int, ...], ExtValue]]) -> EntryList:
     """Per-player sparse tables as the gipf-1 entry list, sorted by player
     and then by key."""
-    return [
+    return EntryList(
         {"player": i, "profile": list(key), "value": value.to_json()}
         for i, table in enumerate(tables)
         for key, value in sorted(table.items())
-    ]
+    )
 
 
 def instance_to_dict(doc: InstanceDoc) -> dict[str, Any]:
@@ -229,14 +234,15 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
 
     Takes dicts with str keys, lists, tuples, str, int, bool and None, matched
     on exact type; anything else raises TypeError. A list of ints is one
-    chunk, and a list of gipf-1 entries is one chunk per entry.
+    chunk, and a list of gipf-1 entries (an ``EntryList`` unchecked, a plain
+    list once each entry passes ``_is_entry``) is one chunk per entry.
     """
     kind = type(obj)
     atom = _ATOMS.get(kind)
     if atom is not None:
         yield atom(obj)
         return
-    if kind not in (dict, list, tuple):
+    if kind not in (dict, list, tuple, EntryList):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not obj:
         yield "{}" if kind is dict else "[]"
@@ -252,9 +258,9 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
             yield from iter_json(value, depth + 1)
             prefix = "," + inner
         yield outer + "}"
-    elif set(map(type, obj)) == {int}:
+    elif kind is not EntryList and set(map(type, obj)) == {int}:
         yield "[" + inner + f",{inner}".join(map(int.__repr__, obj)) + outer + "]"
-    elif all(map(_is_entry, obj)):
+    elif kind is EntryList or all(map(_is_entry, obj)):
         prefix = "["
         for item in obj:
             player, profile, value = item.values()

@@ -31,8 +31,10 @@ from .values import ZERO, ExtValue, ValueLike
 Profile = tuple[int, ...]
 LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical games
 
-# Largest number of full strategy profiles ``expand_graphical`` enumerates, and
-# of undominated profiles ``checking`` sums payments over.
+# Largest number of full strategy profiles ``expand_graphical`` enumerates, of
+# undominated profiles ``checking`` sums payments over, of payoffs a view lays
+# out in columns for one player, and of keys the solver's off-region
+# payments of one player can span.
 MAX_PROFILES = 2**16
 
 
@@ -41,33 +43,62 @@ def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> P
     if len(prof) != len(sizes):
         raise ValueError(f"{what} has {len(prof)} entries, expected {len(sizes)}")
     for pos, (idx, size) in enumerate(zip(prof, sizes)):
-        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < size:
+        if type(idx) is not int:
+            raise ValueError(f"{what}: position {pos} holds {idx!r}, not a strategy index")
+        if not 0 <= idx < size:
             raise ValueError(f"index out of range in {what}: position {pos} holds {idx!r}")
     return prof
 
 
-def _canonical_table(
-    raw: Mapping[Sequence[int], ValueLike] | None,
+def _bulk_table(
+    raw: Mapping[Sequence[int], ValueLike],
+    sizes: Sequence[int],
+    allow_infinite: bool,
+    allow_negative: bool,
+) -> dict[tuple[int, ...], ExtValue] | None:
+    """The canonical table when the whole of ``raw`` passes its checks at
+    once, else None: every key is a tuple of ``len(sizes)`` exact ints in
+    range, and each distinct value object is checked once."""
+    keys = raw.keys()
+    if (
+        set(map(type, keys)) != {tuple}
+        or set(map(len, keys)) != {len(sizes)}
+        or set(map(type, itertools.chain.from_iterable(keys))) != {int}
+        or not all(
+            min(column) >= 0 and max(column) < size
+            for column, size in zip(zip(*keys), sizes)
+        )
+    ):
+        return None
+    exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
+    same = True  # every raw value is a nonzero ExtValue already
+    for value in {id(v): v for v in raw.values()}.values():
+        try:
+            ext = value if type(value) is ExtValue else ExtValue(value)
+        except (TypeError, ValueError):
+            return None
+        sign = ext.fraction.numerator if ext.is_finite else 1
+        if (sign < 0 and not allow_negative) or not (ext.is_finite or allow_infinite):
+            return None
+        exts[id(value)] = ext if sign else None
+        same = same and sign and ext is value
+    if same:
+        return dict(raw)
+    return {k: ext for k, v in raw.items() if (ext := exts[id(v)]) is not None}
+
+
+def _checked_table(
+    raw: Mapping[Sequence[int], ValueLike],
     sizes: Sequence[int],
     what: str,
-    *,
     allow_infinite: bool,
     allow_negative: bool,
 ) -> dict[tuple[int, ...], ExtValue]:
+    """The canonical table, checked key by key; the first fault in table
+    order raises its own message."""
     table: dict[tuple[int, ...], ExtValue] = {}
-    width = len(sizes)
-    for key, value in (raw or {}).items():
-        # exact ints in range pass here at C speed; anything else gets the
-        # full check and its message
-        if (
-            set(map(type, key)) == {int}
-            and len(key) == width
-            and min(key) >= 0
-            and all(map(operator.lt, key, sizes))
-        ):
-            prof = tuple(key)
-        else:
-            prof = _check_profile(key, sizes, what)
+    for key, value in raw.items():
+        prof = _check_profile(key, sizes, what)
         ext = value if type(value) is ExtValue else ExtValue(value)
         if not ext.is_finite:
             if not allow_infinite:
@@ -79,6 +110,22 @@ def _canonical_table(
             raise ValueError(f"negative promise at {what} {prof}")
         if sign:
             table[prof] = ext
+    return table
+
+
+def _canonical_table(
+    raw: Mapping[Sequence[int], ValueLike] | None,
+    sizes: Sequence[int],
+    what: str,
+    *,
+    allow_infinite: bool,
+    allow_negative: bool,
+) -> dict[tuple[int, ...], ExtValue]:
+    """``raw`` with zero entries dropped and every key and value checked."""
+    raw = raw or {}
+    table = _bulk_table(raw, sizes, allow_infinite, allow_negative)
+    if table is None:  # some check fails: find the first fault and its message
+        table = _checked_table(raw, sizes, what, allow_infinite, allow_negative)
     return table
 
 
@@ -367,9 +414,10 @@ class ModifiedGameView:
     """A game together with an optional payment promise, read as one game.
 
     The view exposes the pointwise sums ``utility + promise`` without
-    materializing them. For graphical games all queries run over neighbor
-    profiles only, which is sound because both the utilities and any
-    graphical promise are neighborhood-local.
+    materializing them, apart from the integer payoff columns that dominance
+    compares, built once per player. For graphical games all queries run
+    over neighbor profiles only, which is sound because both the utilities
+    and any graphical promise are neighborhood-local.
     """
 
     def __init__(self, game: AnyGame, promise: PaymentPromise | None = None):
@@ -381,6 +429,7 @@ class ModifiedGameView:
                 raise ValueError("promise and game disagree on the number of players")
         self.promise = promise
         self._tables = game.tables
+        self._columns: dict[int, list[list[int]]] = {}
 
     @property
     def n_players(self) -> int:
@@ -409,6 +458,45 @@ class ModifiedGameView:
         bonus = self.promise.entries[player].get(key)
         return base if bonus is None else base + bonus
 
+    def columns(self, player: int) -> list[list[int]]:
+        """Per strategy of ``player``, its payoffs against every joint choice
+        of ``opponent_profiles(player)``, as ints that order as the payoffs
+        do: finite values times their common denominator, and infinity one
+        more than the largest finite value (and than 0, the unset value).
+
+        Built once per player, straight from the tables; more than
+        ``MAX_PROFILES`` payoffs are refused before any is built.
+        """
+        if player in self._columns:
+            return self._columns[player]
+        count = math.prod(self.game.key_sizes(player))
+        if count > MAX_PROFILES:
+            raise ValueError(
+                f"dominance needs the {count} payoffs of player {player}, above the "
+                f"{MAX_PROFILES} cap"
+            )
+        utility = self._tables[player]
+        bonus = self.promise.entries[player] if self.promise is not None else {}
+        values = {id(v): v for table in (utility, bonus) for v in table.values()}.values()
+        finite = {id(v): v.fraction for v in values if v.is_finite}
+        scale = math.lcm(*(f.denominator for f in finite.values()))
+        scaled = {i: f.numerator * (scale // f.denominator) for i, f in finite.items()}
+        totals = {key: scaled[id(v)] for key, v in utility.items()}
+        infinite = []
+        for key, v in bonus.items():
+            if v.is_finite:
+                totals[key] = totals.get(key, 0) + scaled[id(v)]
+            else:
+                infinite.append(key)
+        totals.update(dict.fromkeys(infinite, max([0, *totals.values()]) + 1))
+        opps = list(self.opponent_profiles(player))
+        key_of, get = self.game.key_of, totals.get
+        columns = [
+            [get(key_of(player, s, opp), 0) for opp in opps] for s in range(self.sizes[player])
+        ]
+        self._columns[player] = columns
+        return columns
+
     def modified_utility(self, player: int, profile: Profile) -> ExtValue:
         """Modified utility at a full strategy profile."""
         opp = tuple(profile[j] for j in self.game.opponents(player))
@@ -423,8 +511,10 @@ class ModifiedGameView:
 
 def _flatten(
     gg: GraphicalGame, local_tables: Sequence[Mapping[LocalKey, ExtValue]]
-) -> list[dict[Profile, ExtValue]]:
-    """Neighborhood-local tables rewritten over full strategy profiles.
+) -> tuple[dict[Profile, ExtValue], ...]:
+    """Canonical neighborhood-local tables rewritten over full strategy
+    profiles: each local entry is fanned out over the strategies of the
+    players outside that player's neighborhood.
 
     The rewrite is exponential in the number of players, so games with more
     than ``MAX_PROFILES`` full profiles are refused before any enumeration.
@@ -435,24 +525,32 @@ def _flatten(
             f"graphical game has {count} full strategy profiles, above the "
             f"{MAX_PROFILES} expansion cap"
         )
-    tables: list[dict[Profile, ExtValue]] = [{} for _ in local_tables]
-    for profile in gg.profiles():
-        for i, local in enumerate(local_tables):
-            value = local.get(gg.local_key(i, profile))
-            if value is not None:  # the callers' ``make`` drops zero entries
-                tables[i][profile] = value
-    return tables
+    tables = []
+    for i, local in enumerate(local_tables):
+        inside = (i, *gg.neighborhoods[i])
+        outside = tuple(j for j in range(gg.n_players) if j not in inside)
+        # a local key followed by an outside part, reordered into a profile
+        # (one player: the local key is the profile)
+        order = inside + outside
+        place = operator.itemgetter(*map(order.index, range(len(order))))
+        if len(order) == 1:
+            place = tuple
+        rests = list(itertools.product(*(range(gg.sizes[j]) for j in outside)))
+        table: dict[Profile, ExtValue] = {}
+        for key, value in local.items():
+            table.update(dict.fromkeys(map(place, map(key.__add__, rests)), value))
+        tables.append(table)
+    return tuple(tables)
 
 
 def expand_graphical(gg: GraphicalGame) -> Game:
     """Flatten a graphical game to normal form over full strategy profiles;
     raises ValueError above ``MAX_PROFILES`` profiles."""
-    return Game.make(gg.players, gg.strategies, _flatten(gg, gg.local_utilities))
+    return Game(gg.players, gg.strategies, _flatten(gg, gg.local_utilities))
 
 
 def expand_graphical_promise(gg: GraphicalGame, promise: PaymentPromise) -> PaymentPromise:
     """Rewrite a neighborhood-local promise over full strategy profiles."""
     if promise.kind != "graphical":
         raise ValueError("expected a graphical promise")
-    normal = Game.make(gg.players, gg.strategies, [None] * gg.n_players)
-    return PaymentPromise.make(normal, _flatten(gg, promise.entries))
+    return PaymentPromise(Game.kind, _flatten(gg, promise.entries))

@@ -27,10 +27,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .checking import _max_payment_over, verify
 from .model import (
+    MAX_PROFILES,
     AnyGame,
     Game,
     GraphicalGame,
@@ -40,7 +41,7 @@ from .model import (
     RectRegion,
     _embed,
 )
-from .values import INF, ZERO, ExtValue, ValueLike
+from .values import INF, ZERO, ExtValue
 
 # Default refusal threshold for the assignment search, which bounds its
 # worst-case time (its memory does not grow with the space). It counts the
@@ -201,7 +202,7 @@ def _pointwise_max(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _scan_assignments(
     game: Game, region: RectRegion, start: int, stop: int
-) -> tuple[Fraction, list[list[int]], list[dict[Profile, ValueLike]]]:
+) -> tuple[Fraction, list[list[int]], list[dict[Profile, ExtValue]]]:
     """Branch and bound over the joint assignment space, which ``[start,
     stop)`` must cover whole.
 
@@ -298,8 +299,8 @@ def _scan_assignments(
 
     for (i, slot), k in zip(digits, best_chosen):
         picks[i][slot] = k
-    tables: list[dict[Profile, ValueLike]] = [
-        {o: Fraction(v, scale) for o, v in zip(desired_profiles, payments(i)) if v}
+    tables = [
+        {o: ExtValue(Fraction(v, scale)) for o, v in zip(desired_profiles, payments(i)) if v}
         for i in range(n)
     ]
     return Fraction(best, scale), picks, tables
@@ -307,13 +308,20 @@ def _scan_assignments(
 
 def _off_region(
     view: ModifiedGameView, region: RectRegion, player: int
-) -> Iterator[tuple[int, ...]]:
+) -> list[tuple[int, ...]]:
     """Opponent parts of ``player`` in which some opponent plays outside the
-    region, in opponent-profile order."""
-    desired = [set(region.sets[j]) for j in view.game.opponents(player)]
-    for opp in view.opponent_profiles(player):
-        if not all(s in d for s, d in zip(opp, desired)):
-            yield opp
+    region, in opponent-profile order. Refuses when those parts times the
+    player's desired rows could exceed ``MAX_PROFILES`` keys, before listing
+    any."""
+    opponents = view.game.opponents(player)
+    count = math.prod(view.sizes[j] for j in opponents) * len(region.sets[player])
+    if count > MAX_PROFILES:
+        raise ValueError(
+            f"off-region payments of player {player} range over {count} keys, above the "
+            f"{MAX_PROFILES} cap"
+        )
+    inside = set(itertools.product(*(region.sets[j] for j in opponents)))
+    return [opp for opp in view.opponent_profiles(player) if opp not in inside]
 
 
 def _infinite_off_region(
@@ -321,11 +329,15 @@ def _infinite_off_region(
 ) -> dict[tuple[int, ...], ExtValue]:
     """Infinite payments on the player's desired rows against every
     off-region opponent part."""
-    return {
-        view.game.key_of(player, p, opp): INF
-        for opp in _off_region(view, region, player)
-        for p in region.sets[player]
-    }
+    key_of = view.game.key_of
+    return dict.fromkeys(
+        (
+            key_of(player, p, opp)
+            for opp in _off_region(view, region, player)
+            for p in region.sets[player]
+        ),
+        INF,
+    )
 
 
 def min_budget_solve(
@@ -372,7 +384,8 @@ def min_budget_solve(
     view = ModifiedGameView(game)
     for i, table in enumerate(tables):
         table.update(_infinite_off_region(view, region, i))
-    promise = PaymentPromise.make(game, tables)
+    # canonical by construction: nonzero values on in-range keys
+    promise = PaymentPromise(game.kind, tuple(tables))
     return SolveResult(
         delta=ExtValue(best), promise=promise, mapping=mapping, exactified=False
     )
@@ -419,7 +432,7 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
             value = promise.value(i, o)
             if value != ZERO:
                 table[o] = value
-        off_region = list(_off_region(view, region, i))
+        off_region = _off_region(view, region, i)
         # equitability leaves at least one private off-region part per desired strategy
         for o_i, private in zip(region.sets[i], off_region):
             for opp in off_region:
@@ -503,5 +516,5 @@ def zero_cost_promise(
         raise ValueError(
             f"not a promise-Nash equilibrium: strategy {x} of player {i} has no desired counter"
         )
-    tables = [_infinite_off_region(view, region, i) for i in range(view.n_players)]
-    return PaymentPromise.make(view.game, tables)
+    tables = tuple(_infinite_off_region(view, region, i) for i in range(view.n_players))
+    return PaymentPromise(view.game.kind, tables)

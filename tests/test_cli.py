@@ -461,6 +461,26 @@ def test_verify_refuses_an_oversized_undominated_region(tmp_path):
     assert "above the 65536 cap" in proc.stderr.decode()
 
 
+@pytest.mark.parametrize(
+    "command, count",
+    [("solve", 131072), ("pne", 131072), ("analyze", 262144), ("verify", 262144)],
+)
+def test_whole_game_steps_refuse_before_enumerating(tmp_path, command, count):
+    # 18 players with two strategies each, no utilities and one desired
+    # strategy per player: the assignment space has one element, but the
+    # off-region payments and the payoff columns each span 2^17 or 2^18 keys
+    n = 18
+    game = GraphicalGame.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [], [None] * n)
+    document = json.loads(serialize_instance(InstanceDoc(game=game)))
+    document.update(kind="normal", region={"sets": [[0]] * n})
+    del document["edges"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = _run_cli(command, str(path))
+    _assert_one_line_error(proc)
+    assert f" {count} " in proc.stderr.decode()
+
+
 _MUTANTS = [
     "1e100000000", 1.5, True, False, None, 10**30, -1, 0, 2, "inf", "1/0", "x",
     [], {}, [[]], [[0], [0]], [[[0, [1]], []]], {"player": 0, "profile": [0, 0], "value": 1},

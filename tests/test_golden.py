@@ -9,6 +9,8 @@ code keeps these digests; any change to the emitted JSON shows up here.
 A second list, ``SEARCH_GOLDEN``, runs ``solve`` alone on instances whose
 raw assignment spaces (65,536 and 531,441 assignments) only the search's
 pruning gets through in test time; ``oracle`` cannot enumerate them.
+``PATH_GOLDEN`` pins ``solve`` and then ``verify`` on the generated X3C
+graphical n = 2 document, whose promise has 36,336 entries.
 
 The digests hash the standard library's rendering of each payload. Two more
 tests tie what the program writes to that rendering: ``gimpl.cli.main``'s
@@ -83,6 +85,16 @@ SEARCH_GOLDEN = {
     'criterion-11': '3e641a5d1d0fd8bcfa324b582cc629289893e75b1cf0aa8b6fe03d784cfec420 exit=0',
     'x3c-2p-n1': 'cfd5afa927efd6b15a4fb11ba10dd749411704554ece58fb8e3d2383747d0298 exit=0',
 }
+
+# the cli benchmark's path, X3C graphical n = 2: ``solve`` on the generated
+# document, then ``verify`` on the instance that ``solve`` emitted; recorded
+# the same way before graphical expansion, the solver's promise, dominance
+# and table checks were rebuilt to work on whole tables
+PATH_GOLDEN = {
+    'solve': '301df8d658d5195f985d313f79a437d40fe0a3b898dd934b91958615a46c8380 exit=0',
+    'verify': '7763e11533b67afcbd4df6f14ec323e323d3bc7b8dada771b022e8bab0fba2a5 exit=0',
+}
+PATH_GEN = ["gen", "x3c", "--n", "2", "--seed", "0", "--force", "yes", "--target", "graphical"]
 
 
 def _ex1() -> InstanceDoc:
@@ -171,10 +183,24 @@ def _argv(instance: str, command: str, directory: Path) -> list[str]:
     return COMMANDS[command] + [str(path)]
 
 
-def digest(instance: str, command: str, directory: Path) -> str:
-    result = run(_argv(instance, command, directory))
+def _digest(result) -> str:
     text = json.dumps(result.payload, indent=2)
     return f"{hashlib.sha256(text.encode('utf-8')).hexdigest()} exit={result.exit_code}"
+
+
+def digest(instance: str, command: str, directory: Path) -> str:
+    return _digest(run(_argv(instance, command, directory)))
+
+
+def path_digests(directory: Path) -> dict[str, str]:
+    """Digests of ``solve`` on the ``PATH_GEN`` document and of ``verify``
+    on the instance it emits."""
+    generated = directory / "path-gen.json"
+    generated.write_text(json.dumps(run(PATH_GEN).payload), encoding="utf-8")
+    solved = run(["solve", str(generated)])
+    emitted = directory / "path-solved.json"
+    emitted.write_text(json.dumps(solved.payload["instance"]), encoding="utf-8")
+    return {"solve": _digest(solved), "verify": _digest(run(["verify", str(emitted)]))}
 
 
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
@@ -186,6 +212,10 @@ def test_golden_output(tmp_path, instance, command):
 @pytest.mark.parametrize("instance", sorted(SEARCH_INSTANCES))
 def test_golden_search_output(tmp_path, instance):
     assert digest(instance, "solve", tmp_path) == SEARCH_GOLDEN[instance]
+
+
+def test_golden_path_output(tmp_path):
+    assert path_digests(tmp_path) == PATH_GOLDEN
 
 
 ALL_CASES = sorted(GOLDEN) + [(instance, "solve") for instance in sorted(SEARCH_GOLDEN)]
@@ -220,3 +250,5 @@ if __name__ == "__main__":
         for instance in sorted(SEARCH_INSTANCES):
             value = digest(instance, "solve", Path(scratch))
             sys.stdout.write(f"    {instance!r}: {value!r},\n")
+        for command, value in path_digests(Path(scratch)).items():
+            sys.stdout.write(f"    {command!r}: {value!r},\n")

@@ -35,16 +35,18 @@ def test_game_validation():
 
 # Messages recorded from the per-element key check, before keys of exact ints
 # in range got a fast path: (parse_instance, Game.make / PaymentPromise.make).
+# The make-path messages of the bool and float cases were later changed to
+# name the type fault; a bool or a float index is not out of range.
 _BAD_KEYS = {
     "bool": (
         [True, 0],
         "{doc}: profile must be a list of ints, got [True, 0]",
-        "index out of range in {key} of player 1: position 0 holds True",
+        "{key} of player 1: position 0 holds True, not a strategy index",
     ),
     "float": (
         [0.0, 0],
         "{doc}: profile must be a list of ints, got [0.0, 0]",
-        "index out of range in {key} of player 1: position 0 holds 0.0",
+        "{key} of player 1: position 0 holds 0.0, not a strategy index",
     ),
     "negative": (
         [-1, 0],
