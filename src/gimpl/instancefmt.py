@@ -199,22 +199,6 @@ _ATOMS = {
     bool: lambda flag: "true" if flag else "false",
     type(None): lambda _: "null",
 }
-_ENTRY_KEYS = ("player", "profile", "value")
-
-
-def _is_entry(item: Any) -> bool:
-    """Whether ``item`` is a gipf-1 entry the template renders: exactly the
-    keys player, profile, value in that order, an int player, a nonempty list
-    of ints as the profile and an int or str value."""
-    if type(item) is not dict or tuple(item) != _ENTRY_KEYS:
-        return False
-    player, profile, value = item.values()
-    return (
-        type(player) is int
-        and type(profile) is list
-        and set(map(type, profile)) == {int}
-        and type(value) in (int, str)
-    )
 
 
 @cache
@@ -234,8 +218,7 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
 
     Takes dicts with str keys, lists, tuples, str, int, bool and None, matched
     on exact type; anything else raises TypeError. A list of ints is one
-    chunk, and a list of gipf-1 entries (an ``EntryList`` unchecked, a plain
-    list once each entry passes ``_is_entry``) is one chunk per entry.
+    chunk, and an ``EntryList`` is one chunk per entry.
     """
     kind = type(obj)
     atom = _ATOMS.get(kind)
@@ -258,9 +241,7 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
             yield from iter_json(value, depth + 1)
             prefix = "," + inner
         yield outer + "}"
-    elif kind is not EntryList and set(map(type, obj)) == {int}:
-        yield "[" + inner + f",{inner}".join(map(int.__repr__, obj)) + outer + "]"
-    elif kind is EntryList or all(map(_is_entry, obj)):
+    elif kind is EntryList:
         prefix = "["
         for item in obj:
             player, profile, value = item.values()
@@ -268,6 +249,8 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
             yield _entry_template(depth, len(profile)) % (prefix, player, *profile, text)
             prefix = ","
         yield outer + "]"
+    elif set(map(type, obj)) == {int}:
+        yield "[" + inner + f",{inner}".join(map(int.__repr__, obj)) + outer + "]"
     else:
         prefix = "[" + inner
         for item in obj:

@@ -32,10 +32,12 @@ Profile = tuple[int, ...]
 LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical games
 
 # Largest number of full strategy profiles ``expand_graphical`` enumerates, of
-# undominated profiles ``checking`` sums payments over, of payoffs a view lays
-# out in columns for one player, and of keys the solver's off-region
-# payments of one player can span.
+# undominated profiles ``checking`` sums payments over, and of opponent
+# profiles of one player that dominance and the solver's off-region payments
+# range over.
 MAX_PROFILES = 2**16
+# Largest number of payoffs a view lays out in columns for one player.
+MAX_PAYOFFS = 2**22
 
 
 def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> Profile:
@@ -50,67 +52,7 @@ def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> P
     return prof
 
 
-def _bulk_table(
-    raw: Mapping[Sequence[int], ValueLike],
-    sizes: Sequence[int],
-    allow_infinite: bool,
-    allow_negative: bool,
-) -> dict[tuple[int, ...], ExtValue] | None:
-    """The canonical table when the whole of ``raw`` passes its checks at
-    once, else None: every key is a tuple of ``len(sizes)`` exact ints in
-    range, and each distinct value object is checked once."""
-    keys = raw.keys()
-    if (
-        set(map(type, keys)) != {tuple}
-        or set(map(len, keys)) != {len(sizes)}
-        or set(map(type, itertools.chain.from_iterable(keys))) != {int}
-        or not all(
-            min(column) >= 0 and max(column) < size
-            for column, size in zip(zip(*keys), sizes)
-        )
-    ):
-        return None
-    exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
-    same = True  # every raw value is a nonzero ExtValue already
-    for value in {id(v): v for v in raw.values()}.values():
-        try:
-            ext = value if type(value) is ExtValue else ExtValue(value)
-        except (TypeError, ValueError):
-            return None
-        sign = ext.fraction.numerator if ext.is_finite else 1
-        if (sign < 0 and not allow_negative) or not (ext.is_finite or allow_infinite):
-            return None
-        exts[id(value)] = ext if sign else None
-        same = same and sign and ext is value
-    if same:
-        return dict(raw)
-    return {k: ext for k, v in raw.items() if (ext := exts[id(v)]) is not None}
-
-
-def _checked_table(
-    raw: Mapping[Sequence[int], ValueLike],
-    sizes: Sequence[int],
-    what: str,
-    allow_infinite: bool,
-    allow_negative: bool,
-) -> dict[tuple[int, ...], ExtValue]:
-    """The canonical table, checked key by key; the first fault in table
-    order raises its own message."""
-    table: dict[tuple[int, ...], ExtValue] = {}
-    for key, value in raw.items():
-        prof = _check_profile(key, sizes, what)
-        ext = value if type(value) is ExtValue else ExtValue(value)
-        if not ext.is_finite:
-            if not allow_infinite:
-                raise ValueError(f"infinite utility at {what} {prof}")
-            table[prof] = ext
-            continue
-        sign = ext.fraction.numerator
-        if sign < 0 and not allow_negative:
-            raise ValueError(f"negative promise at {what} {prof}")
-        if sign:
-            table[prof] = ext
-    return table
+_UNSEEN = object()
 
 
 def _canonical_table(
@@ -121,11 +63,44 @@ def _canonical_table(
     allow_infinite: bool,
     allow_negative: bool,
 ) -> dict[tuple[int, ...], ExtValue]:
-    """``raw`` with zero entries dropped and every key and value checked."""
+    """``raw`` with zero entries dropped and every key and value checked; the
+    first fault in table order raises its own message.
+
+    The keys are checked for the whole table at once (tuples of
+    ``len(sizes)`` exact ints in range) and key by key only when that check
+    fails; each distinct value object is checked once.
+    """
     raw = raw or {}
-    table = _bulk_table(raw, sizes, allow_infinite, allow_negative)
-    if table is None:  # some check fails: find the first fault and its message
-        table = _checked_table(raw, sizes, what, allow_infinite, allow_negative)
+    keys = raw.keys()
+    keys_ok = (
+        set(map(type, keys)) <= {tuple}
+        and set(map(len, keys)) <= {len(sizes)}
+        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+        and all(
+            min(column) >= 0 and max(column) < size
+            for column, size in zip(zip(*keys), sizes)
+        )
+    )
+    items = raw.items()
+    if not keys_ok:
+        items = ((_check_profile(key, sizes, what), value) for key, value in items)
+    exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
+    seen = exts.get
+    table: dict[tuple[int, ...], ExtValue] = {}
+    for prof, value in items:
+        ext = seen(id(value), _UNSEEN)
+        if ext is _UNSEEN:
+            ext = value if type(value) is ExtValue else ExtValue(value)
+            if not ext.is_finite:
+                if not allow_infinite:
+                    raise ValueError(f"infinite utility at {what} {prof}")
+            elif ext.fraction.numerator < 0 and not allow_negative:
+                raise ValueError(f"negative promise at {what} {prof}")
+            elif not ext.fraction.numerator:
+                ext = None
+            exts[id(value)] = ext
+        if ext is not None:
+            table[prof] = ext
     return table
 
 
@@ -460,39 +435,43 @@ class ModifiedGameView:
 
     def columns(self, player: int) -> list[list[int]]:
         """Per strategy of ``player``, its payoffs against every joint choice
-        of ``opponent_profiles(player)``, as ints that order as the payoffs
-        do: finite values times their common denominator, and infinity one
-        more than the largest finite value (and than 0, the unset value).
+        of ``opponent_profiles(player)``, each as the rank of its value among
+        the distinct payoffs (infinity highest, 0 for unset keys), so that
+        the ints order as the payoffs do.
 
-        Built once per player, straight from the tables; more than
-        ``MAX_PROFILES`` payoffs are refused before any is built.
+        Built once per player, straight from the tables. More than
+        ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
+        payoffs, are refused before any is built.
         """
         if player in self._columns:
             return self._columns[player]
-        count = math.prod(self.game.key_sizes(player))
-        if count > MAX_PROFILES:
+        parts = math.prod(self.sizes[j] for j in self.game.opponents(player))
+        if parts > MAX_PROFILES:
             raise ValueError(
-                f"dominance needs the {count} payoffs of player {player}, above the "
-                f"{MAX_PROFILES} cap"
+                f"dominance for player {player} ranges over {parts} opponent profiles, "
+                f"above the {MAX_PROFILES} cap"
             )
-        utility = self._tables[player]
-        bonus = self.promise.entries[player] if self.promise is not None else {}
-        values = {id(v): v for table in (utility, bonus) for v in table.values()}.values()
-        finite = {id(v): v.fraction for v in values if v.is_finite}
-        scale = math.lcm(*(f.denominator for f in finite.values()))
-        scaled = {i: f.numerator * (scale // f.denominator) for i, f in finite.items()}
-        totals = {key: scaled[id(v)] for key, v in utility.items()}
-        infinite = []
-        for key, v in bonus.items():
-            if v.is_finite:
-                totals[key] = totals.get(key, 0) + scaled[id(v)]
-            else:
-                infinite.append(key)
-        totals.update(dict.fromkeys(infinite, max([0, *totals.values()]) + 1))
+        count = self.sizes[player] * parts
+        if count > MAX_PAYOFFS:
+            raise ValueError(
+                f"dominance for player {player} needs {count} payoffs, above the "
+                f"{MAX_PAYOFFS} cap"
+            )
+        totals = dict(self._tables[player])
+        if self.promise is not None:
+            bonus = self.promise.entries[player]
+            both = {key: totals[key] + bonus[key] for key in totals.keys() & bonus.keys()}
+            totals.update(bonus)
+            totals.update(both)
+        values = list(totals.values())
+        objects = dict(zip(map(id, values), values))
+        rank = {v: r for r, v in enumerate(sorted({ZERO, *objects.values()}))}
+        rank_of = {i: rank[v] for i, v in objects.items()}
+        ranked = dict(zip(totals, map(rank_of.__getitem__, map(id, values))))
         opps = list(self.opponent_profiles(player))
-        key_of, get = self.game.key_of, totals.get
+        key_of, get, zero = self.game.key_of, ranked.get, rank[ZERO]
         columns = [
-            [get(key_of(player, s, opp), 0) for opp in opps] for s in range(self.sizes[player])
+            [get(key_of(player, s, opp), zero) for opp in opps] for s in range(self.sizes[player])
         ]
         self._columns[player] = columns
         return columns

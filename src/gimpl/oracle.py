@@ -1,10 +1,10 @@
 """Definition-level cross-checks for the solver.
 
 Everything here recomputes results from first principles: promises are
-rebuilt from the raw payment formula, dominations are re-verified through
-the domination module, and worst-case payments are re-summed directly over
-the desired region. None of the solver's code paths are reused, so an
-agreement between the two is meaningful evidence.
+rebuilt from the raw payment formula, dominations are re-verified payoff by
+payoff through ``ModifiedGameView.payoff``, and worst-case payments are
+re-summed directly over the desired region. None of the solver's code paths
+are reused, so an agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 from .checking import verify
-from .domination import dominates
 from .model import (
     Game,
     GraphicalGame,
@@ -42,6 +41,18 @@ def _require_normal(game):
     if isinstance(game, GraphicalGame):
         raise ValueError("the oracle works on normal-form games; expand the graphical game first")
     return game
+
+
+def _dominates_by_definition(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
+    """Whether x is never worse than y against any opponent choice and
+    strictly better against one, read payoff by payoff."""
+    strict = False
+    for opp in view.opponent_profiles(player):
+        px, py = view.payoff(player, x, opp), view.payoff(player, y, opp)
+        if px < py:
+            return False
+        strict = strict or py < px
+    return strict
 
 
 def _promise_for(game: Game, region: RectRegion, mapping: DominatorMapping) -> PaymentPromise:
@@ -103,7 +114,7 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
         view = ModifiedGameView(game, promise)
         for i in range(game.n_players):
             for x, t in zip(domains[i], targets[i]):
-                if not dominates(view, i, t, x):
+                if not _dominates_by_definition(view, i, t, x):
                     raise ValueError(
                         f"assignment {t}<-{x} for player {i} fails its domination "
                         "check; this signals an implementation bug"

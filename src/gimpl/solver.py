@@ -310,15 +310,14 @@ def _off_region(
     view: ModifiedGameView, region: RectRegion, player: int
 ) -> list[tuple[int, ...]]:
     """Opponent parts of ``player`` in which some opponent plays outside the
-    region, in opponent-profile order. Refuses when those parts times the
-    player's desired rows could exceed ``MAX_PROFILES`` keys, before listing
-    any."""
+    region, in opponent-profile order. Refuses a player with more than
+    ``MAX_PROFILES`` opponent parts before listing any."""
     opponents = view.game.opponents(player)
-    count = math.prod(view.sizes[j] for j in opponents) * len(region.sets[player])
+    count = math.prod(view.sizes[j] for j in opponents)
     if count > MAX_PROFILES:
         raise ValueError(
-            f"off-region payments of player {player} range over {count} keys, above the "
-            f"{MAX_PROFILES} cap"
+            f"player {player} has {count} opponent profiles, above the {MAX_PROFILES} "
+            "cap on off-region payments"
         )
     inside = set(itertools.product(*(region.sets[j] for j in opponents)))
     return [opp for opp in view.opponent_profiles(player) if opp not in inside]

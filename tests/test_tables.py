@@ -9,8 +9,10 @@ a per-profile, per-key or ``view.payoff`` version written out in full.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from gimpl import (
     GraphicalGame,
     ModifiedGameView,
     PaymentPromise,
+    RectRegion,
     dominates,
     expand_graphical,
     expand_graphical_promise,
@@ -29,7 +32,8 @@ from gimpl import (
     undominated,
     zero_cost_promise,
 )
-from gimpl.model import _canonical_table, _checked_table
+from gimpl.model import MAX_PAYOFFS, _canonical_table, _check_profile
+from gimpl.oracle import _dominates_by_definition
 from gimpl.reductions import gen_x3c, x3c_to_graphical
 
 from _support import random_game, random_region
@@ -122,16 +126,6 @@ def test_solver_promises_equal_their_make():
         _assert_canonical(game, min_budget_solve(game, region).promise)
 
 
-def _dominates_by_definition(view, player, x, y):
-    strict = False
-    for opp in view.opponent_profiles(player):
-        px, py = view.payoff(player, x, opp), view.payoff(player, y, opp)
-        if px < py:
-            return False
-        strict = strict or py < px
-    return strict
-
-
 def test_dominance_equals_the_payoff_definition():
     rng = random.Random(1203)
     found = 0
@@ -154,6 +148,51 @@ def test_dominance_equals_the_payoff_definition():
     assert found > 100
 
 
+def _primes(count, limit=40_000):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for n in range(2, int(limit**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, limit, n)))
+    return [n for n in range(limit) if sieve[n]][:count]
+
+
+def _two_player(rows, cols, utilities=None):
+    strategies = [[f"r{k}" for k in range(rows)], [f"c{k}" for k in range(cols)]]
+    return Game.make(["a", "b"], strategies, [utilities, None])
+
+
+def test_columns_stay_small_on_distinct_denominators():
+    # 4,096 utilities 1/p over distinct primes p: scaled to a common
+    # denominator each payoff would take about 8 kB, ranked it takes a word
+    size = 64
+    primes = _primes(size * size)
+    game = _two_player(
+        size, size, {(x, o): Fraction(1, primes[x * size + o]) for x in range(size) for o in range(size)}
+    )
+    view = ModifiedGameView(game)
+    tracemalloc.start()
+    try:
+        columns = view.columns(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    assert sorted(itertools.chain.from_iterable(columns)) == list(range(1, size * size + 1))
+    assert undominated(view, 0) == (0,)  # the smallest primes pay the most
+
+
+def test_dominance_caps_count_opponents_and_payoffs():
+    # 300 x 300 payoffs exceed 2^16 but a single opponent's 300 profiles do not
+    game = _two_player(300, 300, {(x, 0): x for x in range(300)})
+    assert undominated(ModifiedGameView(game), 0) == (299,)
+    region = RectRegion.make([[0], [0]])
+    assert min_budget_solve(game, region).delta == ExtValue(299)
+    rows = MAX_PAYOFFS // 2048 + 1
+    with pytest.raises(ValueError, match=f"needs {rows * 2048} payoffs, above the"):
+        dominates(ModifiedGameView(_two_player(rows, 2048)), 0, 0, 1)
+
+
 # (2, 3)-sized keys mixing every kind of fault with clean entries
 SIZES = (2, 3)
 INDEX = st.integers(0, 1) | st.sampled_from([-1, 2, 3, True, False, 0.0, 1.0])
@@ -168,6 +207,25 @@ TABLES = st.dictionaries(CLEAN_KEY, CLEAN_VALUE, max_size=6) | st.dictionaries(
 )
 
 
+def _per_key(raw, sizes, what, allow_infinite, allow_negative):
+    """The canonical table, checked key by key and value by value."""
+    table = {}
+    for key, value in raw.items():
+        prof = _check_profile(key, sizes, what)
+        ext = value if type(value) is ExtValue else ExtValue(value)
+        if not ext.is_finite:
+            if not allow_infinite:
+                raise ValueError(f"infinite utility at {what} {prof}")
+            table[prof] = ext
+            continue
+        sign = ext.fraction.numerator
+        if sign < 0 and not allow_negative:
+            raise ValueError(f"negative promise at {what} {prof}")
+        if sign:
+            table[prof] = ext
+    return table
+
+
 def _outcome(build):
     try:
         table = build()
@@ -178,8 +236,8 @@ def _outcome(build):
 
 @settings(max_examples=400, deadline=None)
 @given(TABLES, st.booleans(), st.booleans())
-def test_bulk_checks_equal_the_per_key_checks(raw, allow_infinite, allow_negative):
+def test_table_checks_equal_the_per_key_checks(raw, allow_infinite, allow_negative):
     flags = {"allow_infinite": allow_infinite, "allow_negative": allow_negative}
     assert _outcome(lambda: _canonical_table(raw, SIZES, "key", **flags)) == _outcome(
-        lambda: _checked_table(raw, SIZES, "key", allow_infinite, allow_negative)
+        lambda: _per_key(raw, SIZES, "key", allow_infinite, allow_negative)
     )

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gimpl.instancefmt import StreamingEncoder, iter_json
+from gimpl.instancefmt import EntryList, StreamingEncoder, iter_json
 
 TEXT = st.text(max_size=6) | st.sampled_from(['"', "\n", "\\", "é", " ", "\x00", "😀", ""])
 INTS = st.integers(min_value=-(10**20), max_value=10**20)
 ATOMS = st.none() | st.booleans() | INTS | TEXT
 
-ENTRY = st.fixed_dictionaries(
-    {
-        "player": st.integers(0, 5),
-        "profile": st.lists(st.integers(0, 9), min_size=1, max_size=4),
-        "value": INTS | TEXT,
-    }
+ENTRY = st.builds(
+    lambda player, profile, value: {"player": player, "profile": profile, "value": value},
+    st.integers(0, 5),
+    st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    INTS | TEXT,
 )
 
 
@@ -39,7 +38,9 @@ def _spoil(entry: dict, how: str) -> dict:
 
 
 NEAR_MISS = st.builds(_spoil, ENTRY, st.sampled_from(SPOILS))
-ENTRY_LISTS = st.lists(ENTRY, min_size=1, max_size=4) | st.lists(ENTRY | NEAR_MISS, max_size=5)
+ENTRY_LISTS = st.lists(ENTRY, min_size=1, max_size=4).map(EntryList) | st.lists(
+    ENTRY | NEAR_MISS, max_size=5
+)
 
 VALUES = st.recursive(
     ATOMS | ENTRY_LISTS | st.lists(INTS, max_size=4),
@@ -68,7 +69,7 @@ def test_near_entries_take_the_generic_path(how):
 
 
 def test_writer_yields_one_chunk_per_entry():
-    entries = [{"player": i, "profile": [i, 0], "value": "1/2"} for i in range(5)]
+    entries = EntryList({"player": i, "profile": [i, 0], "value": "1/2"} for i in range(5))
     assert len(list(iter_json(entries))) == 6  # the entries, then the closing bracket
 
 
