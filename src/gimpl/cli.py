@@ -6,12 +6,15 @@ line included, prints one ``gimpl: ...`` line to stderr. The output is byte
 for byte ``json.dumps(payload, indent=2)`` plus a newline, written in chunks
 as it is rendered (one per promise or utility entry). Values are printed as
 exact rationals, never floats. ``gen`` emits a bare instance document so
-its output can be piped straight back into the other subcommands.
+its output can be piped straight back into the other subcommands. ``main``
+runs the command with the cyclic garbage collector paused and restores the
+caller's collector state however the command ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -328,7 +331,16 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def main() -> None:
-    result = run(sys.argv[1:])
+    # the tables a command builds are large and acyclic, so the cyclic
+    # collector would only rescan them; it is paused while the command runs
+    # and left as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = run(sys.argv[1:])
+    finally:
+        if collecting:
+            gc.enable()
     try:
         json.dump(result.payload, sys.stdout, indent=2, cls=StreamingEncoder)
         sys.stdout.write("\n")

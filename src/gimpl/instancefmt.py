@@ -6,15 +6,16 @@ Values are JSON ints or strings "p/q" (lowest terms) and "inf"; floats are
 rejected to keep everything exact.
 
 Documents and CLI payloads are written by ``iter_json``, which yields the text
-of ``json.dumps(obj, indent=2)`` in chunks and renders gipf-1 entry lists with
-one string template per entry.
+of ``json.dumps(obj, indent=2)`` in chunks. ``instance_to_dict`` builds entry
+lists whose profiles are the tables' key tuples; ``iter_json`` renders each of
+their entries as one chunk from cached pieces of text, so a player, a profile
+or a value is formatted once per list however often it recurs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -73,6 +74,15 @@ def _decode_entries(raw: Any, n_players: int, what: str) -> list[dict[tuple[int,
         if ext is None:
             ext = decoded[value] = _decode_value(value, what)
         tables[player][tuple(profile)] = ext
+    if sum(map(len, tables)) != len(raw):
+        seen: set[tuple[int, tuple[int, ...]]] = set()
+        for entry in raw:
+            key = (entry["player"], tuple(entry["profile"]))
+            if key in seen:
+                raise FormatError(
+                    f"{what}: player {key[0]} has two entries at profile {list(key[1])}"
+                )
+            seen.add(key)
     return tables
 
 
@@ -153,14 +163,19 @@ def _read_document(doc: Any) -> InstanceDoc:
 
 class EntryList(list):
     """A gipf-1 entry list built by ``encode_entries``; ``iter_json`` renders
-    its entries with the template without checking each one."""
+    each entry from cached pieces of text (one per player, one per profile,
+    one per value) without checking it."""
 
 
 def encode_entries(tables: Sequence[Mapping[tuple[int, ...], ExtValue]]) -> EntryList:
     """Per-player sparse tables as the gipf-1 entry list, sorted by player
-    and then by key."""
+    and then by key. An entry's profile is the table's own key tuple (JSON
+    renders it as an array), and each distinct value object is converted
+    with ``to_json`` once."""
+    objects = {id(value): value for table in tables for value in table.values()}
+    texts = {key: value.to_json() for key, value in objects.items()}
     return EntryList(
-        {"player": i, "profile": list(key), "value": value.to_json()}
+        {"player": i, "profile": key, "value": texts[id(value)]}
         for i, table in enumerate(tables)
         for key, value in sorted(table.items())
     )
@@ -201,16 +216,16 @@ _ATOMS = {
 }
 
 
-@cache
-def _entry_template(depth: int, length: int) -> str:
-    """The %-template of one entry of an entry list at ``depth``: a separator,
-    the player, ``length`` profile indices and the rendered value."""
-    one, two, three = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
-    return (
-        f'%s{one}{{{two}"player": %d,{two}"profile": [{three}'
-        + f",{three}".join(["%d"] * length)
-        + f'{two}],{two}"value": %s{one}}}'
-    )
+class _Pieces(dict):
+    """Text pieces by key, each rendered on first use."""
+
+    def __init__(self, render):
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, key):
+        text = self[key] = self._render(key)
+        return text
 
 
 def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
@@ -242,11 +257,20 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
             prefix = "," + inner
         yield outer + "}"
     elif kind is EntryList:
+        # an entry is a per-player head, a per-profile index block and a
+        # per-value tail
+        two, three = inner + "  ", inner + "    "
+        heads = _Pieces(lambda player: f'{inner}{{{two}"player": {player:d},{two}"profile": [')
+        blocks = _Pieces(lambda profile: three + f",{three}".join(map(int.__repr__, profile)))
+        tails = _Pieces(
+            lambda value: f'{two}],{two}"value": '
+            + (int.__repr__(value) if type(value) is int else _quote(value))
+            + f"{inner}}}"
+        )
         prefix = "["
         for item in obj:
             player, profile, value = item.values()
-            text = value if type(value) is int else _quote(value)
-            yield _entry_template(depth, len(profile)) % (prefix, player, *profile, text)
+            yield prefix + heads[player] + blocks[tuple(profile)] + tails[value]
             prefix = ","
         yield outer + "]"
     elif set(map(type, obj)) == {int}:

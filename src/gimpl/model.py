@@ -137,8 +137,11 @@ class _GameBase:
     per player), ``key_sizes(i)`` (the index range of each key position),
     ``opponents(i)`` (the players whose choices enter player i's keys),
     ``key_of(i, s, opp)`` (the key of strategy s against the joint choice
-    ``opp`` of those players) and ``key_at(i, profile)`` (the key that a full
-    profile selects).
+    ``opp`` of those players), ``keys(i, s, region=None)`` (the keys of s
+    against every such joint choice, optionally restricted to a region, in
+    ``ModifiedGameView.opponent_profiles`` order: the same keys as
+    ``key_of`` over those choices, built in one ``itertools.product``) and
+    ``key_at(i, profile)`` (the key that a full profile selects).
     """
 
     kind: ClassVar[str]
@@ -209,6 +212,13 @@ class Game(_GameBase):
 
     def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> Profile:
         return _embed(opp, player, strategy)
+
+    def keys(
+        self, player: int, strategy: int, region: RectRegion | None = None
+    ) -> Iterator[Profile]:
+        axes = list(region.sets) if region is not None else [range(n) for n in self.sizes]
+        axes[player] = (strategy,)
+        return itertools.product(*axes)
 
     def key_at(self, player: int, profile: Profile) -> Profile:
         return profile
@@ -286,6 +296,17 @@ class GraphicalGame(_GameBase):
 
     def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> LocalKey:
         return (strategy,) + opp
+
+    def keys(
+        self, player: int, strategy: int, region: RectRegion | None = None
+    ) -> Iterator[LocalKey]:
+        return itertools.product(
+            (strategy,),
+            *(
+                region.sets[j] if region is not None else range(self.sizes[j])
+                for j in self.neighborhoods[player]
+            ),
+        )
 
     def degree(self) -> int:
         return max((len(js) for js in self.neighborhoods), default=0)
@@ -468,11 +489,8 @@ class ModifiedGameView:
         rank = {v: r for r, v in enumerate(sorted({ZERO, *objects.values()}))}
         rank_of = {i: rank[v] for i, v in objects.items()}
         ranked = dict(zip(totals, map(rank_of.__getitem__, map(id, values))))
-        opps = list(self.opponent_profiles(player))
-        key_of, get, zero = self.game.key_of, ranked.get, rank[ZERO]
-        columns = [
-            [get(key_of(player, s, opp), zero) for opp in opps] for s in range(self.sizes[player])
-        ]
+        keys, get, zero = self.game.keys, ranked.get, itertools.repeat(rank[ZERO])
+        columns = [list(map(get, keys(player, s), zero)) for s in range(self.sizes[player])]
         self._columns[player] = columns
         return columns
 

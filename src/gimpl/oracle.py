@@ -10,10 +10,12 @@ are reused, so an agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .checking import verify
 from .model import (
+    MAX_PROFILES,
     Game,
     GraphicalGame,
     ModifiedGameView,
@@ -41,6 +43,18 @@ def _require_normal(game):
     if isinstance(game, GraphicalGame):
         raise ValueError("the oracle works on normal-form games; expand the graphical game first")
     return game
+
+
+def _refuse_wide(game: Game) -> None:
+    """Refuse a game in which some player has more than ``MAX_PROFILES``
+    opponent profiles, before any of them is enumerated."""
+    for i in range(game.n_players):
+        count = math.prod(size for j, size in enumerate(game.sizes) if j != i)
+        if count > MAX_PROFILES:
+            raise ValueError(
+                f"player {i} has {count} opponent profiles, above the {MAX_PROFILES} "
+                "cap on the oracle's enumeration"
+            )
 
 
 def _dominates_by_definition(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
@@ -90,7 +104,9 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
     undesired strategy is re-checked to be dominated by its assigned desired
     strategy, and the worst-case payment over the desired region is re-summed
     directly. Raises if any assignment fails its domination check, which
-    would signal an implementation bug.
+    would signal an implementation bug. Assignment spaces above
+    ``MAX_MAPPINGS`` and players with more than ``MAX_PROFILES`` opponent
+    profiles are refused before any promise is built.
     """
     game = _require_normal(game)
     region.validate_for(game)
@@ -100,6 +116,7 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
         space_size *= len(region.sets[i]) ** len(domains[i])
     if space_size > MAX_MAPPINGS:
         raise ValueError(f"assignment space has {space_size} elements, above the {MAX_MAPPINGS} cap")
+    _refuse_wide(game)
 
     landscape: dict[DominatorMapping, ExtValue] = {}
     best: ExtValue | None = None
@@ -151,6 +168,7 @@ def oracle_zero_cost(game: Game, region: RectRegion) -> bool:
     """
     game = _require_normal(game)
     region.validate_for(game)
+    _refuse_wide(game)
     desired_sets = [set(members) for members in region.sets]
     tables: list[dict[Profile, ExtValue]] = []
     for i in range(game.n_players):

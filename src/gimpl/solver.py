@@ -306,37 +306,41 @@ def _scan_assignments(
     return Fraction(best, scale), picks, tables
 
 
-def _off_region(
-    view: ModifiedGameView, region: RectRegion, player: int
-) -> list[tuple[int, ...]]:
-    """Opponent parts of ``player`` in which some opponent plays outside the
-    region, in opponent-profile order. Refuses a player with more than
-    ``MAX_PROFILES`` opponent parts before listing any."""
-    opponents = view.game.opponents(player)
-    count = math.prod(view.sizes[j] for j in opponents)
+def _refuse_many_opponents(game: AnyGame, player: int) -> None:
+    """Refuse a player with more than ``MAX_PROFILES`` opponent parts, before
+    any off-region payment is listed."""
+    count = math.prod(game.sizes[j] for j in game.opponents(player))
     if count > MAX_PROFILES:
         raise ValueError(
             f"player {player} has {count} opponent profiles, above the {MAX_PROFILES} "
             "cap on off-region payments"
         )
-    inside = set(itertools.product(*(region.sets[j] for j in opponents)))
+
+
+def _off_region(
+    view: ModifiedGameView, region: RectRegion, player: int
+) -> list[tuple[int, ...]]:
+    """Opponent parts of ``player`` in which some opponent plays outside the
+    region, in opponent-profile order."""
+    _refuse_many_opponents(view.game, player)
+    inside = set(view.opponent_profiles(player, region))
     return [opp for opp in view.opponent_profiles(player) if opp not in inside]
 
 
 def _infinite_off_region(
-    view: ModifiedGameView, region: RectRegion, player: int
+    game: AnyGame, region: RectRegion, player: int
 ) -> dict[tuple[int, ...], ExtValue]:
     """Infinite payments on the player's desired rows against every
-    off-region opponent part."""
-    key_of = view.game.key_of
-    return dict.fromkeys(
-        (
-            key_of(player, p, opp)
-            for opp in _off_region(view, region, player)
-            for p in region.sets[player]
-        ),
-        INF,
-    )
+    off-region opponent part: per desired strategy, its keys minus its keys
+    inside the region."""
+    _refuse_many_opponents(game, player)
+    keys = game.keys
+    table: dict[tuple[int, ...], ExtValue] = {}
+    for p in region.sets[player]:
+        inside = set(keys(player, p, region))
+        off = itertools.filterfalse(inside.__contains__, keys(player, p))
+        table.update(dict.fromkeys(off, INF))
+    return table
 
 
 def min_budget_solve(
@@ -380,9 +384,8 @@ def min_budget_solve(
             tuple(region.sets[i][k] for k in picks[i]) for i in range(game.n_players)
         ),
     )
-    view = ModifiedGameView(game)
     for i, table in enumerate(tables):
-        table.update(_infinite_off_region(view, region, i))
+        table.update(_infinite_off_region(game, region, i))
     # canonical by construction: nonzero values on in-range keys
     promise = PaymentPromise(game.kind, tuple(tables))
     return SolveResult(
@@ -515,5 +518,5 @@ def zero_cost_promise(
         raise ValueError(
             f"not a promise-Nash equilibrium: strategy {x} of player {i} has no desired counter"
         )
-    tables = tuple(_infinite_off_region(view, region, i) for i in range(view.n_players))
+    tables = tuple(_infinite_off_region(view.game, region, i) for i in range(view.n_players))
     return PaymentPromise(view.game.kind, tables)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payloads, and output stability."""
 
+import gc
 import json
 import random
 import subprocess
@@ -15,6 +16,7 @@ from gimpl import (
     RectRegion,
     serialize_instance,
 )
+import gimpl.cli
 from gimpl.cli import main, run
 
 
@@ -424,6 +426,39 @@ def _main(monkeypatch, *argv):
     return exit_info.value.code
 
 
+def test_main_pauses_the_collector_and_restores_it(
+    monkeypatch, capsys, tmp_path, ex1_verify_file, ce1
+):
+    # a yes, a no and an error exit; then a command that raises
+    no = _write(tmp_path, "no.json", InstanceDoc(game=ce1, region=RectRegion.make([[1], [1]])))
+    seen = []
+
+    def watched(argv):
+        seen.append(gc.isenabled())
+        return run(argv)
+
+    monkeypatch.setattr(gimpl.cli, "run", watched)
+    cases = [(["verify", ex1_verify_file], 0), (["pne", no], 2), (["verify", "missing.json"], 1)]
+    assert gc.isenabled()
+    try:
+        for argv, code in cases:
+            assert _main(monkeypatch, *argv) == code
+            assert gc.isenabled()
+        gc.disable()
+        for argv, code in cases:
+            assert _main(monkeypatch, *argv) == code
+            assert not gc.isenabled()
+        gc.enable()
+        monkeypatch.setattr(gimpl.cli, "run", lambda argv: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            main()
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False] * 6
+    capsys.readouterr()
+
+
 def test_bad_command_line_prints_one_stderr_line(monkeypatch, capsys):
     for argv, reason in [
         (["solve", "x.json", "--jobs", "1"], "unrecognized arguments: --jobs 1"),
@@ -463,7 +498,13 @@ def test_verify_refuses_an_oversized_undominated_region(tmp_path):
 
 @pytest.mark.parametrize(
     "command, count",
-    [("solve", 131072), ("pne", 131072), ("analyze", 131072), ("verify", 131072)],
+    [
+        ("solve", 131072),
+        ("pne", 131072),
+        ("analyze", 131072),
+        ("verify", 131072),
+        ("oracle", 131072),
+    ],
 )
 def test_whole_game_steps_refuse_before_enumerating(tmp_path, command, count):
     # 18 players with two strategies each, no utilities and one desired

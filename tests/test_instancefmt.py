@@ -15,6 +15,7 @@ from gimpl import (
     parse_instance,
     serialize_instance,
 )
+from gimpl.cli import run
 
 from _support import random_game
 
@@ -207,3 +208,25 @@ def test_graphical_needs_edges_and_normal_rejects_them():
     bad_normal = dict(EX1_DOCUMENT, edges=[[0, 1]])
     with pytest.raises(FormatError, match="edges"):
         parse_instance(json.dumps(bad_normal))
+
+
+def test_duplicate_entries_are_refused(tmp_path):
+    twice = [
+        {"player": 0, "profile": [0, 0], "value": 1},
+        {"player": 1, "profile": [0, 0], "value": 1},
+        {"player": 0, "profile": [0, 0], "value": 5},
+    ]
+    for field, doc in [
+        ("utilities", dict(EX1_DOCUMENT, utilities=twice)),
+        ("promise", dict(EX1_DOCUMENT, promise=twice)),
+    ]:
+        message = f"{field}: player 0 has two entries at profile [0, 0]"
+        with pytest.raises(FormatError) as info:
+            parse_instance(json.dumps(doc))
+        assert str(info.value) == message
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = run(["verify", str(path)])
+        assert result.exit_code == 1 and result.payload["error"] == message
+    # the same profile under two players is no duplicate
+    assert parse_instance(json.dumps(dict(EX1_DOCUMENT, utilities=twice[:2])))

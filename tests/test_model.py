@@ -235,3 +235,29 @@ def test_random_games_round_trip_equality():
         game = random_game(rng)
         clone = Game.make(game.players, game.strategies, list(game.utilities))
         assert clone == game
+
+
+def _random_shapes(rng):
+    """A seeded normal-form game and a graphical game, with isolated players
+    among the graphical ones."""
+    yield random_game(rng, n_players=rng.randint(1, 4), min_strats=1, max_strats=3)
+    n = rng.randint(1, 6)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+    strategies = [[f"s{k}" for k in range(rng.randint(1, 3))] for _ in range(n)]
+    yield GraphicalGame.make([f"p{i}" for i in range(n)], strategies, edges, [None] * n)
+
+
+def test_keys_follow_key_of_over_the_opponent_profiles():
+    rng = random.Random(1414)
+    for _ in range(60):
+        for game in _random_shapes(rng):
+            view = ModifiedGameView(game)
+            region = RectRegion.make(
+                rng.sample(range(size), rng.randint(1, size)) for size in game.sizes
+            )
+            for i in range(game.n_players):
+                for s in range(game.sizes[i]):
+                    for where in (None, region):
+                        assert list(game.keys(i, s, where)) == [
+                            game.key_of(i, s, opp) for opp in view.opponent_profiles(i, where)
+                        ]

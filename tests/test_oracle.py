@@ -75,3 +75,12 @@ def test_zero_cost_oracle_matches_pne_check():
         game = random_game(rng)
         region = random_region(rng, game)
         assert oracle_zero_cost(game, region) == is_pne(game, region).holds
+
+
+@pytest.mark.parametrize("oracle", [oracle_min_budget, oracle_zero_cost])
+def test_oracle_refuses_wide_games_before_enumerating(oracle):
+    # 18 two-strategy players: one assignment, but 2^17 opponent profiles each
+    n = 18
+    game = Game.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [None] * n)
+    with pytest.raises(ValueError, match="player 0 has 131072 opponent profiles"):
+        oracle(game, RectRegion.make([[0]] * n))

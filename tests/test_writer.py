@@ -13,10 +13,12 @@ TEXT = st.text(max_size=6) | st.sampled_from(['"', "\n", "\\", "é", " ", "\x0
 INTS = st.integers(min_value=-(10**20), max_value=10**20)
 ATOMS = st.none() | st.booleans() | INTS | TEXT
 
+# encode_entries emits key tuples; documents read back hold lists
+PROFILES = st.lists(st.integers(0, 9), min_size=1, max_size=4)
 ENTRY = st.builds(
     lambda player, profile, value: {"player": player, "profile": profile, "value": value},
     st.integers(0, 5),
-    st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    PROFILES | PROFILES.map(tuple),
     INTS | TEXT,
 )
 
@@ -71,6 +73,18 @@ def test_near_entries_take_the_generic_path(how):
 def test_writer_yields_one_chunk_per_entry():
     entries = EntryList({"player": i, "profile": [i, 0], "value": "1/2"} for i in range(5))
     assert len(list(iter_json(entries))) == 6  # the entries, then the closing bracket
+
+
+def test_entries_share_their_pieces_across_shapes():
+    # one player, profile and value recur as a tuple and as a list, and the
+    # int 1 and the string "1" keep their own renderings
+    entries = EntryList(
+        {"player": player, "profile": profile, "value": value}
+        for player in (0, 1, 0)
+        for profile in ((0, 1), [0, 1], (1,))
+        for value in (1, "1", "inf")
+    )
+    assert "".join(iter_json({"promise": entries})) == json.dumps({"promise": entries}, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [float("nan")]}, {"a", "b"}, b"x"])
