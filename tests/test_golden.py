@@ -11,6 +11,10 @@ raw assignment spaces (65,536 and 531,441 assignments) only the search's
 pruning gets through in test time; ``oracle`` cannot enumerate them.
 ``PATH_GOLDEN`` pins ``solve`` and then ``verify`` on the generated X3C
 graphical n = 2 document, whose promise has 36,336 entries.
+``EXACTIFY_GOLDEN`` pins ``solve_exact`` in-process on 200 seeded instances,
+equitable two-player ones alternating with 2- and 3-player games on sweep-like
+regions: per instance its delta, mapping and sorted promise entries, or its
+refusal message.
 
 The digests hash the standard library's rendering of each payload. Two more
 tests tie what the program writes to that rendering: ``gimpl.cli.main``'s
@@ -37,11 +41,12 @@ from gimpl import (
     RectRegion,
     parse_instance,
     serialize_instance,
+    solve_exact,
 )
 from gimpl.cli import main, run
 from gimpl.instancefmt import instance_to_dict
 
-from _support import random_equitable_instance
+from _support import random_equitable_instance, random_game, random_region
 
 COMMANDS = {
     "analyze": ["analyze"],
@@ -94,6 +99,11 @@ PATH_GOLDEN = {
     'solve': '301df8d658d5195f985d313f79a437d40fe0a3b898dd934b91958615a46c8380 exit=0',
     'verify': '7763e11533b67afcbd4df6f14ec323e323d3bc7b8dada771b022e8bab0fba2a5 exit=0',
 }
+# solve_exact on EXACTIFY_COUNT instances drawn from random.Random(EXACTIFY_SEED);
+# recorded the same way before exactify's promise builder was rewritten
+EXACTIFY_GOLDEN = 'ee42ac473f9afb4b63881b20d4977495f6c49a93ccf2cce6ca327fbaee0c464d'
+EXACTIFY_SEED, EXACTIFY_COUNT = 1_500, 200
+
 PATH_GEN = ["gen", "x3c", "--n", "2", "--seed", "0", "--force", "yes", "--target", "graphical"]
 
 
@@ -203,6 +213,30 @@ def path_digests(directory: Path) -> dict[str, str]:
     return {"solve": _digest(solved), "verify": _digest(run(["verify", str(emitted)]))}
 
 
+def exactify_digest() -> str:
+    """sha256 over ``solve_exact`` on the seeded ``EXACTIFY_COUNT`` instances:
+    one line per instance with its delta, mapping and sorted promise
+    entries, or the message it was refused with."""
+    rng = random.Random(EXACTIFY_SEED)
+    h = hashlib.sha256()
+    for k in range(EXACTIFY_COUNT):
+        if k % 2:
+            game, region = random_equitable_instance(rng)
+        else:
+            game = random_game(rng)
+            region = random_region(rng, game)
+        try:
+            result = solve_exact(game, region)
+        except ValueError as exc:
+            line = f"refused: {exc}"
+        else:
+            entries = [sorted((k, str(v)) for k, v in t.items()) for t in result.promise.entries]
+            mapping = result.mapping
+            line = repr((str(result.delta), mapping.domains, mapping.targets, entries))
+        h.update(line.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_golden_output(tmp_path, instance, command):
@@ -216,6 +250,10 @@ def test_golden_search_output(tmp_path, instance):
 
 def test_golden_path_output(tmp_path):
     assert path_digests(tmp_path) == PATH_GOLDEN
+
+
+def test_golden_exactify_output():
+    assert exactify_digest() == EXACTIFY_GOLDEN
 
 
 ALL_CASES = sorted(GOLDEN) + [(instance, "solve") for instance in sorted(SEARCH_GOLDEN)]
@@ -252,3 +290,4 @@ if __name__ == "__main__":
             sys.stdout.write(f"    {instance!r}: {value!r},\n")
         for command, value in path_digests(Path(scratch)).items():
             sys.stdout.write(f"    {command!r}: {value!r},\n")
+    sys.stdout.write(f"EXACTIFY_GOLDEN = {exactify_digest()!r}\n")
