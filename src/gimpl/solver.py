@@ -100,8 +100,20 @@ def _require_normal(game: AnyGame) -> Game:
 _Gaps = tuple[list[int], list[Fraction]]
 
 
+def _positions(desired_profiles: Sequence[Profile], player: int) -> dict[int, list[int]]:
+    """Per strategy of ``player``, the indices of the desired profiles that play it."""
+    positions: dict[int, list[int]] = {}
+    for idx, o in enumerate(desired_profiles):
+        positions.setdefault(o[player], []).append(idx)
+    return positions
+
+
 def _gaps(
-    game: Game, player: int, pairs: Iterable[tuple[int, int]], desired_profiles: Sequence[Profile]
+    game: Game,
+    player: int,
+    pairs: Iterable[tuple[int, int]],
+    desired_profiles: Sequence[Profile],
+    positions: Mapping[int, list[int]],
 ) -> dict[tuple[int, int], _Gaps]:
     """Utility gaps of ``player`` over the desired profiles.
 
@@ -109,9 +121,6 @@ def _gaps(
     profiles ``o`` in which the player's own strategy is ``t`` and, at each,
     the gap ``u_i(x, o_-i) - u_i(o)``.
     """
-    positions: dict[int, list[int]] = {}
-    for idx, o in enumerate(desired_profiles):
-        positions.setdefault(o[player], []).append(idx)
     utility = game.utilities[player].get
     result: dict[tuple[int, int], _Gaps] = {}
     for x, t in pairs:
@@ -149,8 +158,9 @@ def compute_v(
             raise ValueError(f"target {target} of player {player} is not desired")
     desired_profiles = list(region.profiles())
     lift = [Fraction(0)] * len(desired_profiles)
-    for positions, values in _gaps(game, player, assignment.items(), desired_profiles).values():
-        for idx, g in zip(positions, values):
+    positions = _positions(desired_profiles, player)
+    for at, values in _gaps(game, player, assignment.items(), desired_profiles, positions).values():
+        for idx, g in zip(at, values):
             if lift[idx] < g:
                 lift[idx] = g
     return {o: ExtValue(v) if v else ZERO for o, v in zip(desired_profiles, lift)}
@@ -158,10 +168,11 @@ def compute_v(
 
 def _payment_vectors(
     game: Game, region: RectRegion, domains: Sequence[tuple[int, ...]]
-) -> tuple[list[Profile], list[list[list[int]]], int]:
+) -> tuple[list[Profile], list[list[list[int]]], int, list[dict[int, list[int]]]]:
     """Per player, one payment vector over the desired profiles for every
     (undesired, target) option, in ``itertools.product(domain, targets)``
-    order, and the common scale of all vectors.
+    order, the common scale of all vectors and, per player, the
+    ``_positions`` of the desired profiles.
 
     An option's vector holds, at the profiles whose own strategy is the
     target, the utility gap of the undesired strategy clamped at zero, and
@@ -169,9 +180,10 @@ def _payment_vectors(
     least common multiple of the positive gaps' denominators.
     """
     desired_profiles = list(region.profiles())
+    positions = [_positions(desired_profiles, i) for i in range(game.n_players)]
     per_player_gaps = [
-        _gaps(game, i, itertools.product(domains[i], region.sets[i]), desired_profiles)
-        for i in range(game.n_players)
+        _gaps(game, i, itertools.product(domains[i], sets), desired_profiles, positions[i])
+        for i, sets in enumerate(region.sets)
     ]
     scale = math.lcm(
         *(
@@ -186,14 +198,14 @@ def _payment_vectors(
     per_player = []
     for gaps in per_player_gaps:
         options = []
-        for positions, values in gaps.values():
+        for at, values in gaps.values():
             vec = zero.copy()
-            for idx, g in zip(positions, values):
+            for idx, g in zip(at, values):
                 if g > 0:
                     vec[idx] = g.numerator * (scale // g.denominator)
             options.append(vec)
         per_player.append(options)
-    return desired_profiles, per_player, scale
+    return desired_profiles, per_player, scale, positions
 
 
 def _pointwise_max(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -226,7 +238,7 @@ def _scan_assignments(
     enter as a constant.
     """
     domains = [region.complement(game, i) for i in range(game.n_players)]
-    desired_profiles, per_player, scale = _payment_vectors(game, region, domains)
+    desired_profiles, per_player, scale, positions = _payment_vectors(game, region, domains)
     n = game.n_players
     zero = [0] * len(desired_profiles)
     slots = []  # per player and undesired strategy: its option vectors by target
@@ -234,9 +246,7 @@ def _scan_assignments(
     for i, options in enumerate(per_player):
         width = len(region.sets[i])
         slots.append([options[k : k + width] for k in range(0, len(options), width)])
-        blocks.append(
-            [[idx for idx, o in enumerate(desired_profiles) if o[i] == t] for t in region.sets[i]]
-        )
+        blocks.append([positions[i][t] for t in region.sets[i]])
     picks = [[0] * len(domains[i]) for i in range(n)]
 
     def payments(i: int) -> list[int]:
@@ -317,30 +327,23 @@ def _refuse_many_opponents(game: AnyGame, player: int) -> None:
         )
 
 
-def _off_region(
-    view: ModifiedGameView, region: RectRegion, player: int
+def _off_region_keys(
+    game: AnyGame, region: RectRegion, player: int, strategy: int
 ) -> list[tuple[int, ...]]:
-    """Opponent parts of ``player`` in which some opponent plays outside the
-    region, in opponent-profile order."""
-    _refuse_many_opponents(view.game, player)
-    inside = set(view.opponent_profiles(player, region))
-    return [opp for opp in view.opponent_profiles(player) if opp not in inside]
+    """Keys of ``strategy`` against the opponent parts of ``player`` that leave
+    the region: its keys minus its keys inside it, in ``game.keys`` order."""
+    _refuse_many_opponents(game, player)
+    inside = set(game.keys(player, strategy, region))
+    return list(itertools.filterfalse(inside.__contains__, game.keys(player, strategy)))
 
 
 def _infinite_off_region(
     game: AnyGame, region: RectRegion, player: int
 ) -> dict[tuple[int, ...], ExtValue]:
     """Infinite payments on the player's desired rows against every
-    off-region opponent part: per desired strategy, its keys minus its keys
-    inside the region."""
-    _refuse_many_opponents(game, player)
-    keys = game.keys
-    table: dict[tuple[int, ...], ExtValue] = {}
-    for p in region.sets[player]:
-        inside = set(keys(player, p, region))
-        off = itertools.filterfalse(inside.__contains__, keys(player, p))
-        table.update(dict.fromkeys(off, INF))
-    return table
+    off-region opponent part."""
+    keys = (_off_region_keys(game, region, player, p) for p in region.sets[player])
+    return dict.fromkeys(itertools.chain.from_iterable(keys), INF)
 
 
 def min_budget_solve(
@@ -426,24 +429,20 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
         raise ValueError("promise does not implement the desired region")
 
     big_m = game.max_utility() + delta + ExtValue(1)
-    view = ModifiedGameView(game)
     tables: list[dict[Profile, ExtValue]] = []
     for i in range(game.n_players):
-        table: dict[Profile, ExtValue] = {}
-        for o in region.profiles():
-            value = promise.value(i, o)
-            if value != ZERO:
-                table[o] = value
-        off_region = _off_region(view, region, i)
-        # equitability leaves at least one private off-region part per desired strategy
-        for o_i, private in zip(region.sets[i], off_region):
-            for opp in off_region:
-                profile = game.key_of(i, o_i, opp)
-                base = game.utility(i, profile)
-                bonus = big_m + 1 - base if opp == private else big_m - base
-                table[profile] = bonus
+        entries = promise.entries[i]
+        table = {o: entries[o] for o in region.profiles() if entries.get(o, ZERO) != ZERO}
+        # equitability leaves at least one private off-region part per desired
+        # strategy: the k-th desired strategy keeps its k-th off-region key
+        for k, o_i in enumerate(region.sets[i]):
+            off_region = _off_region_keys(game, region, i, o_i)
+            for key in off_region:
+                base = game.utility(i, key)
+                table[key] = big_m + 1 - base if key == off_region[k] else big_m - base
         tables.append(table)
-    return PaymentPromise.make(game, tables)
+    # canonical by construction: nonzero promise entries, and bonuses of at least big_m - u > 0
+    return PaymentPromise(game.kind, tuple(tables))
 
 
 def solve_exact(
