@@ -331,24 +331,24 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def main() -> None:
-    # the tables a command builds are large and acyclic, so the cyclic
-    # collector would only rescan them; it is paused while the command runs
-    # and left as the caller had it
+    # the tables a command builds and writes are large and acyclic, so the
+    # cyclic collector would only rescan them; it is paused while the command
+    # runs and its output is written, and left as the caller had it
     collecting = gc.isenabled()
     gc.disable()
     try:
         result = run(sys.argv[1:])
+        try:
+            json.dump(result.payload, sys.stdout, indent=2, cls=StreamingEncoder)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # downstream consumer (head, grep -m1, ...) closed the pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(result.exit_code)
     finally:
         if collecting:
             gc.enable()
-    try:
-        json.dump(result.payload, sys.stdout, indent=2, cls=StreamingEncoder)
-        sys.stdout.write("\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # downstream consumer (head, grep -m1, ...) closed the pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(result.exit_code)
     if result.status == "error":
         print(f"gimpl: {result.payload.get('error')}", file=sys.stderr)
     sys.exit(result.exit_code)

@@ -32,9 +32,9 @@ Profile = tuple[int, ...]
 LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical games
 
 # Largest number of full strategy profiles ``expand_graphical`` enumerates, of
-# undominated profiles ``checking`` sums payments over, and of opponent
-# profiles of one player that dominance and the solver's off-region payments
-# range over.
+# undominated profiles ``checking`` sums payments over, of desired profiles
+# the solver prices, and of opponent profiles of one player that dominance
+# and the solver's off-region payments range over.
 MAX_PROFILES = 2**16
 # Largest number of payoffs a view lays out in columns for one player.
 MAX_PAYOFFS = 2**22

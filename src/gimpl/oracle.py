@@ -1,10 +1,16 @@
 """Definition-level cross-checks for the solver.
 
-Everything here recomputes results from first principles: promises are
-rebuilt from the raw payment formula, dominations are re-verified payoff by
-payoff through ``ModifiedGameView.payoff``, and worst-case payments are
-re-summed directly over the desired region. None of the solver's code paths
-are reused, so an agreement between the two is meaningful evidence.
+Promises are rebuilt here from the raw payment formula, with none of the
+solver's code paths. ``oracle_min_budget`` re-verifies every domination
+payoff by payoff through ``ModifiedGameView.payoff`` and re-sums worst-case
+payments directly over the desired region, so its agreement with the
+solver's search is independent evidence.
+
+``oracle_zero_cost`` builds its promise here too, but decides through
+``checking.verify``: the same dominance on the view's rank columns that
+``gimpl verify`` reads. So criterion 06 (``is_pne == oracle_zero_cost ==
+(delta == 0)``) cross-checks the payoff-by-payoff stability test and the
+search's price against that verifier, not against a second one.
 """
 
 from __future__ import annotations
@@ -69,8 +75,21 @@ def _dominates_by_definition(view: ModifiedGameView, player: int, x: int, y: int
     return strict
 
 
-def _promise_for(game: Game, region: RectRegion, mapping: DominatorMapping) -> PaymentPromise:
+def _off_region_infinities(game: Game, region: RectRegion, player: int) -> dict[Profile, ExtValue]:
+    """Infinity on every desired row of ``player`` against each opponent
+    choice in which some opponent leaves the region."""
     desired_sets = [set(members) for members in region.sets]
+    opp_players = [j for j in range(game.n_players) if j != player]
+    table: dict[Profile, ExtValue] = {}
+    for opp in itertools.product(*(range(game.sizes[j]) for j in opp_players)):
+        if all(s in desired_sets[j] for s, j in zip(opp, opp_players)):
+            continue
+        for o_i in region.sets[player]:
+            table[_embed(opp, player, o_i)] = INF
+    return table
+
+
+def _promise_for(game: Game, region: RectRegion, mapping: DominatorMapping) -> PaymentPromise:
     tables: list[dict[Profile, ExtValue]] = []
     for i in range(game.n_players):
         table: dict[Profile, ExtValue] = {}
@@ -88,11 +107,7 @@ def _promise_for(game: Game, region: RectRegion, mapping: DominatorMapping) -> P
                             lift = gap
                     if lift != ZERO:
                         table[profile] = lift
-        for opp in itertools.product(*(range(game.sizes[j]) for j in opp_players)):
-            if all(s in desired_sets[j] for s, j in zip(opp, opp_players)):
-                continue
-            for o_i in region.sets[i]:
-                table[_embed(opp, i, o_i)] = INF
+        table.update(_off_region_infinities(game, region, i))
         tables.append(table)
     return PaymentPromise.make(game, tables)
 
@@ -161,24 +176,15 @@ def oracle_zero_cost(game: Game, region: RectRegion) -> bool:
     """Whether the full desired region implements itself at budget 0: build
     the pay-infinity-off-region promise and verify it at budget 0.
 
-    This is the same full-region test as ``is_pne`` (criterion 06), done from
-    first principles. It does not decide zero-cost implementability: a
-    region can still be implemented at zero cost through a smaller
-    undominated sub-region, which this check never tries.
+    This is the same full-region test as ``is_pne`` (criterion 06), with the
+    promise built from first principles and the decision left to ``verify``.
+    It does not decide zero-cost implementability: a region can still be
+    implemented at zero cost through a smaller undominated sub-region, which
+    this check never tries.
     """
     game = _require_normal(game)
     region.validate_for(game)
     _refuse_wide(game)
-    desired_sets = [set(members) for members in region.sets]
-    tables: list[dict[Profile, ExtValue]] = []
-    for i in range(game.n_players):
-        table: dict[Profile, ExtValue] = {}
-        opp_players = [j for j in range(game.n_players) if j != i]
-        for opp in itertools.product(*(range(game.sizes[j]) for j in opp_players)):
-            if all(s in desired_sets[j] for s, j in zip(opp, opp_players)):
-                continue
-            for p in region.sets[i]:
-                table[_embed(opp, i, p)] = INF
-        tables.append(table)
+    tables = [_off_region_infinities(game, region, i) for i in range(game.n_players)]
     promise = PaymentPromise.make(game, tables)
     return verify(game, promise, region, ZERO, "subset").holds

@@ -18,7 +18,10 @@ every desired strategy a private off-region profile. The stability check
 ``delta = 0``; a region can still be implementable at zero cost without
 passing it.
 
-Everything operates on normal-form games; expand graphical games first.
+Everything operates on normal-form games; expand graphical games first. The
+search refuses desired regions above ``MAX_PROFILES`` (65,536) profiles
+before it lists any, the same cap ``verify`` and ``cost`` apply to the
+regions they sum payments over.
 """
 
 from __future__ import annotations
@@ -366,7 +369,9 @@ def min_budget_solve(
     The search is exponential in the number of undesired strategies in the
     worst case; spaces whose raw size (before any pruning) exceeds
     ``max_assignments`` are refused up front (pass ``None`` to search
-    regardless).
+    regardless). Desired regions above ``MAX_PROFILES`` profiles and players
+    with more than ``MAX_PROFILES`` opponent profiles are refused too, before
+    any profile is listed.
     """
     game = _require_normal(game)
     region.validate_for(game)
@@ -378,6 +383,11 @@ def min_budget_solve(
             f"assignment space has {total} elements, above the {max_assignments} cap; "
             "this exhaustive search is meant for desk-scale instances"
         )
+    count = math.prod(map(len, region.sets))
+    if count > MAX_PROFILES:
+        raise ValueError(f"desired region has {count} profiles, above the {MAX_PROFILES} cap")
+    for i in range(game.n_players):
+        _refuse_many_opponents(game, i)
 
     # bench/tracing.py reads the space size from (0, total); keep it until program-side stats
     best, picks, tables = _scan_assignments(game, region, 0, total)

@@ -429,15 +429,25 @@ def _main(monkeypatch, *argv):
 def test_main_pauses_the_collector_and_restores_it(
     monkeypatch, capsys, tmp_path, ex1_verify_file, ce1
 ):
-    # a yes, a no and an error exit; then a command that raises
+    # a yes, a no and an error exit, each run and written with the collector
+    # paused; then a write to a closed pipe and a command that raises
     no = _write(tmp_path, "no.json", InstanceDoc(game=ce1, region=RectRegion.make([[1], [1]])))
-    seen = []
+    seen, dumped = [], []
+    dump = json.dump
 
     def watched(argv):
         seen.append(gc.isenabled())
         return run(argv)
 
+    def watched_dump(*args, **kwargs):
+        dumped.append(gc.isenabled())
+        return dump(*args, **kwargs)
+
+    def broken_dump(*args, **kwargs):
+        raise BrokenPipeError
+
     monkeypatch.setattr(gimpl.cli, "run", watched)
+    monkeypatch.setattr(gimpl.cli.json, "dump", watched_dump)
     cases = [(["verify", ex1_verify_file], 0), (["pne", no], 2), (["verify", "missing.json"], 1)]
     assert gc.isenabled()
     try:
@@ -449,13 +459,19 @@ def test_main_pauses_the_collector_and_restores_it(
             assert _main(monkeypatch, *argv) == code
             assert not gc.isenabled()
         gc.enable()
+        with open(tmp_path / "closed.txt", "w") as out, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            patch.setattr(gimpl.cli.json, "dump", broken_dump)
+            assert _main(patch, "pne", no) == 2
+        assert gc.isenabled()
         monkeypatch.setattr(gimpl.cli, "run", lambda argv: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             main()
         assert gc.isenabled()
     finally:
         gc.enable()
-    assert seen == [False] * 6
+    assert seen == [False] * 7
+    assert dumped == [False] * 6
     capsys.readouterr()
 
 
@@ -521,6 +537,25 @@ def test_whole_game_steps_refuse_before_enumerating(tmp_path, command, count):
     proc = _run_cli(command, str(path))
     _assert_one_line_error(proc)
     assert f" {count} " in proc.stderr.decode()
+
+
+def test_solve_refuses_a_large_desired_region_before_enumerating(tmp_path):
+    # 20 players with two strategies each, no utilities and the full region:
+    # one assignment, but 2^20 desired profiles to price
+    n = 20
+    document = {
+        "format": "gipf-1",
+        "kind": "normal",
+        "players": [{"name": f"p{i}", "strategies": ["a", "b"]} for i in range(n)],
+        "region": {"sets": [[0, 1]] * n},
+    }
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = _run_cli("solve", str(path))
+    _assert_one_line_error(proc)
+    assert proc.stderr.decode() == (
+        "gimpl: desired region has 1048576 profiles, above the 65536 cap\n"
+    )
 
 
 _MUTANTS = [
