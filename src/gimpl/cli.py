@@ -14,6 +14,7 @@ caller's collector state however the command ends.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -36,6 +37,7 @@ from .model import GraphicalGame, ModifiedGameView, expand_graphical
 from .oracle import oracle_min_budget
 from .solver import (
     DominatorMapping,
+    _refuse_large_region,
     is_pne,
     min_budget_solve,
     solve_exact,
@@ -151,6 +153,7 @@ def _cmd_solve(args) -> CommandResult:
 
 def _cmd_pne(args) -> CommandResult:
     doc = _load_with_region(args)
+    _refuse_large_region(doc.region)  # before the check, as zero_cost_promise does
     view = ModifiedGameView(doc.game, doc.promise)
     report = is_pne(view, doc.region)
     if not report.holds:
@@ -265,7 +268,10 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and leaves it as it was."""
     parser = _Parser(
         prog="gimpl",
         description="Compute, verify, and exactify payment promises that "

@@ -5,16 +5,28 @@ Sparse tables: utility and promise entries omitted from the document are 0.
 Values are JSON ints or strings "p/q" (lowest terms) and "inf"; floats are
 rejected to keep everything exact.
 
+Entry lists are read in bulk. ``_decode_entries`` checks the shape of a
+whole list at once (entry objects with a player, a profile and a value;
+players ints in range, profiles lists, values ints or strings), decodes
+each distinct value once and builds the per-player tables. The model then
+checks every table key once (``model._canonical_table``): its length, the
+exact type of each index and its range. A list that fails a bulk check, or
+whose tables the model refuses, is read again entry by entry, so the first
+fault in document order still raises with its own message.
+
 Documents and CLI payloads are written by ``iter_json``, which yields the text
 of ``json.dumps(obj, indent=2)`` in chunks. ``instance_to_dict`` builds entry
 lists whose profiles are the tables' key tuples; ``iter_json`` renders each of
-their entries as one chunk from cached pieces of text, so a player, a profile
-or a value is formatted once per list however often it recurs.
+their entries as one chunk from cached pieces of text, shared by all entry
+lists at one depth of the payload, so a player, a profile or a value is
+formatted once per payload however often it recurs.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterator, Mapping, Sequence
@@ -50,10 +62,63 @@ def _decode_value(raw: Any, what: str) -> ExtValue:
         raise FormatError(f"{what}: {exc}") from exc
 
 
-def _decode_entries(raw: Any, n_players: int, what: str) -> list[dict[tuple[int, ...], ExtValue]]:
+Tables = list[dict[tuple[int, ...], ExtValue]]
+
+_PLAYER, _PROFILE, _VALUE = map(operator.itemgetter, ("player", "profile", "value"))
+
+
+def _decode_entries(raw: Any, n_players: int, what: str) -> Tables:
+    """The per-player tables of an entry list, checked in bulk; a list that
+    fails a bulk check goes to ``_read_entries``, which raises its first
+    fault. The elements of the profiles are left to the model."""
+    tables = _bulk_entries(raw, n_players, what)
+    return tables if tables is not None else _read_entries(raw, n_players, what)
+
+
+def _bulk_entries(raw: Any, n_players: int, what: str) -> Tables | None:
+    """The tables of a list of entry objects whose players are ints in
+    range, profiles lists and values ints or strings, each checked over the
+    whole list at once; each distinct value is decoded once. None when a
+    check fails, a profile holds an unhashable element or a (player,
+    profile) pair repeats."""
+    if type(raw) is not list or not set(map(type, raw)) <= {dict}:
+        return None
+    try:
+        players = list(map(_PLAYER, raw))
+        profiles = list(map(_PROFILE, raw))
+        values = list(map(_VALUE, raw))
+    except KeyError:
+        return None
+    if not (
+        set(map(type, players)) <= {int}
+        and 0 <= min(players, default=0)
+        and max(players, default=0) < n_players
+        and set(map(type, profiles)) <= {list}
+        and set(map(type, values)) <= {int, str}
+    ):
+        return None
+    try:
+        decoded = {value: _decode_value(value, what) for value in dict.fromkeys(values)}
+    except FormatError:
+        return None
+    tables: Tables = [{} for _ in range(n_players)]
+    rows = zip(
+        map(tables.__getitem__, players), map(tuple, profiles), map(decoded.__getitem__, values)
+    )
+    try:
+        for table, key, ext in rows:
+            table[key] = ext
+    except TypeError:  # an unhashable profile element
+        return None
+    return tables if sum(map(len, tables)) == len(raw) else None
+
+
+def _read_entries(raw: Any, n_players: int, what: str) -> Tables:
+    """The per-player tables of an entry list, checked entry by entry; the
+    first fault in document order raises."""
     if not isinstance(raw, list):
         raise FormatError(f"{what} must be a list of entries")
-    tables: list[dict[tuple[int, ...], ExtValue]] = [{} for _ in range(n_players)]
+    tables: Tables = [{} for _ in range(n_players)]
     decoded: dict[int | str, ExtValue] = {}  # values repeat; ExtValue is immutable
     for entry in raw:
         if not isinstance(entry, dict):
@@ -101,6 +166,18 @@ def parse_instance(text: str) -> InstanceDoc:
         raise FormatError(str(exc)) from exc
 
 
+@contextmanager
+def _entry_faults_first(raw: Any, n_players: int, what: str) -> Iterator[None]:
+    """Build from the entry list ``raw``; when that raises, the per-entry
+    reader's first fault in ``raw``, if it has one, is raised instead, as
+    it would have been had the entries been read one by one first."""
+    try:
+        yield
+    except ValueError:
+        _read_entries(raw, n_players, what)
+        raise
+
+
 def _read_document(doc: Any) -> InstanceDoc:
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
@@ -124,17 +201,18 @@ def _read_document(doc: Any) -> InstanceDoc:
         strategies.append([str(s) for s in entry["strategies"]])
     n_players = len(names)
 
-    utilities = _decode_entries(doc.get("utilities", []), n_players, "utilities")
-
-    if kind == "graphical":
-        edges = doc.get("edges")
-        if not isinstance(edges, list):
-            raise FormatError("graphical documents need an edges list")
-        game: AnyGame = GraphicalGame.make(names, strategies, edges, utilities)
-    else:
-        if "edges" in doc:
-            raise FormatError("normal-form documents must not carry edges")
-        game = Game.make(names, strategies, utilities)
+    raw_utilities = doc.get("utilities", [])
+    with _entry_faults_first(raw_utilities, n_players, "utilities"):
+        utilities = _decode_entries(raw_utilities, n_players, "utilities")
+        if kind == "graphical":
+            edges = doc.get("edges")
+            if not isinstance(edges, list):
+                raise FormatError("graphical documents need an edges list")
+            game: AnyGame = GraphicalGame.make(names, strategies, edges, utilities)
+        else:
+            if "edges" in doc:
+                raise FormatError("normal-form documents must not carry edges")
+            game = Game.make(names, strategies, utilities)
 
     region = None
     if "region" in doc:
@@ -155,16 +233,17 @@ def _read_document(doc: Any) -> InstanceDoc:
 
     promise = None
     if "promise" in doc:
-        tables = _decode_entries(doc["promise"], n_players, "promise")
-        promise = PaymentPromise.make(game, tables)
+        with _entry_faults_first(doc["promise"], n_players, "promise"):
+            tables = _decode_entries(doc["promise"], n_players, "promise")
+            promise = PaymentPromise.make(game, tables)
 
     return InstanceDoc(game=game, region=region, budget=budget, promise=promise)
 
 
 class EntryList(list):
     """A gipf-1 entry list built by ``encode_entries``; ``iter_json`` renders
-    each entry from cached pieces of text (one per player, one per profile,
-    one per value) without checking it."""
+    its entries column by column from cached pieces of text (one per
+    player, one per profile, one per value) without checking them."""
 
 
 def encode_entries(tables: Sequence[Mapping[tuple[int, ...], ExtValue]]) -> EntryList:
@@ -228,13 +307,34 @@ class _Pieces(dict):
         return text
 
 
-def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
+def _entry_pieces(depth: int) -> tuple[_Pieces, _Pieces, _Pieces]:
+    """The cached pieces of the entries of an ``EntryList`` at ``depth``: an
+    entry is a per-player head (with the comma before it), a per-profile
+    index block and a per-value tail."""
+    inner = "\n" + "  " * (depth + 1)
+    two, three = inner + "  ", inner + "    "
+    heads = _Pieces(lambda player: f',{inner}{{{two}"player": {player:d},{two}"profile": [')
+    blocks = _Pieces(lambda profile: three + f",{three}".join(map(int.__repr__, profile)))
+    tails = _Pieces(
+        lambda value: f'{two}],{two}"value": '
+        + (int.__repr__(value) if type(value) is int else _quote(value))
+        + f"{inner}}}"
+    )
+    return heads, blocks, tails
+
+
+def iter_json(obj: Any) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2)``, in chunks.
 
     Takes dicts with str keys, lists, tuples, str, int, bool and None, matched
     on exact type; anything else raises TypeError. A list of ints is one
-    chunk, and an ``EntryList`` is one chunk per entry.
+    chunk, and an ``EntryList`` is one chunk per entry. The entry lists of
+    one call share their cached pieces of text, depth by depth.
     """
+    return _render(obj, 0, _Pieces(_entry_pieces))
+
+
+def _render(obj: Any, depth: int, pieces: _Pieces) -> Iterator[str]:
     kind = type(obj)
     atom = _ATOMS.get(kind)
     if atom is not None:
@@ -253,25 +353,21 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             yield prefix + _quote(key) + ": "
-            yield from iter_json(value, depth + 1)
+            yield from _render(value, depth + 1, pieces)
             prefix = "," + inner
         yield outer + "}"
     elif kind is EntryList:
-        # an entry is a per-player head, a per-profile index block and a
-        # per-value tail
-        two, three = inner + "  ", inner + "    "
-        heads = _Pieces(lambda player: f'{inner}{{{two}"player": {player:d},{two}"profile": [')
-        blocks = _Pieces(lambda profile: three + f",{three}".join(map(int.__repr__, profile)))
-        tails = _Pieces(
-            lambda value: f'{two}],{two}"value": '
-            + (int.__repr__(value) if type(value) is int else _quote(value))
-            + f"{inner}}}"
+        heads, blocks, tails = pieces[depth]
+        chunks = map(
+            "".join,
+            zip(
+                map(heads.__getitem__, map(_PLAYER, obj)),
+                map(blocks.__getitem__, map(tuple, map(_PROFILE, obj))),
+                map(tails.__getitem__, map(_VALUE, obj)),
+            ),
         )
-        prefix = "["
-        for item in obj:
-            player, profile, value = item.values()
-            yield prefix + heads[player] + blocks[tuple(profile)] + tails[value]
-            prefix = ","
+        yield "[" + next(chunks)[1:]  # the first entry has no comma before it
+        yield from chunks
         yield outer + "]"
     elif set(map(type, obj)) == {int}:
         yield "[" + inner + f",{inner}".join(map(int.__repr__, obj)) + outer + "]"
@@ -279,7 +375,7 @@ def iter_json(obj: Any, depth: int = 0) -> Iterator[str]:
         prefix = "[" + inner
         for item in obj:
             yield prefix
-            yield from iter_json(item, depth + 1)
+            yield from _render(item, depth + 1, pieces)
             prefix = "," + inner
         yield outer + "]"
 

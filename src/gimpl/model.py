@@ -23,8 +23,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterable, Iterator, KeysView, Mapping, Sequence, Union
 
 from .values import ZERO, ExtValue, ValueLike
 
@@ -52,7 +52,30 @@ def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> P
     return prof
 
 
-_UNSEEN = object()
+@lru_cache(maxsize=8)
+def _key_space(sizes: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Every key of a table over ``sizes``; built only for at most
+    ``MAX_PROFILES`` keys, and kept for the last few shapes."""
+    return frozenset(itertools.product(*map(range, sizes)))
+
+
+def _keys_ok(keys: KeysView[object], sizes: tuple[int, ...]) -> bool:
+    """Whether every key is a tuple of ``len(sizes)`` exact ints in range.
+
+    The type pass comes first: ``(True, 0)`` and ``(1.0, 0)`` equal and hash
+    like ``(1, 0)``, so only it tells them apart. The ranges are then one
+    subset test against the key space when that has at most ``MAX_PROFILES``
+    keys, and each column's min and max otherwise.
+    """
+    if not (
+        set(map(type, keys)) <= {tuple}
+        and set(map(len, keys)) <= {len(sizes)}
+        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+    ):
+        return False
+    if math.prod(sizes) <= MAX_PROFILES:
+        return keys <= _key_space(sizes)
+    return all(min(column) >= 0 and max(column) < size for column, size in zip(zip(*keys), sizes))
 
 
 def _canonical_table(
@@ -66,42 +89,48 @@ def _canonical_table(
     """``raw`` with zero entries dropped and every key and value checked; the
     first fault in table order raises its own message.
 
-    The keys are checked for the whole table at once (tuples of
-    ``len(sizes)`` exact ints in range) and key by key only when that check
-    fails; each distinct value object is checked once.
+    The keys are checked for the whole table at once (``_keys_ok``) and key
+    by key only when that check fails. Each distinct value object is checked
+    once, in order of first use, so the first faulty value is the one at
+    the first faulty entry. A table that needs nothing converted or dropped
+    comes back as a plain copy.
     """
     raw = raw or {}
-    keys = raw.keys()
-    keys_ok = (
-        set(map(type, keys)) <= {tuple}
-        and set(map(len, keys)) <= {len(sizes)}
-        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
-        and all(
-            min(column) >= 0 and max(column) < size
-            for column, size in zip(zip(*keys), sizes)
-        )
-    )
-    items = raw.items()
-    if not keys_ok:
-        items = ((_check_profile(key, sizes, what), value) for key, value in items)
+    sizes = tuple(sizes)
     exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
-    seen = exts.get
-    table: dict[tuple[int, ...], ExtValue] = {}
-    for prof, value in items:
-        ext = seen(id(value), _UNSEEN)
-        if ext is _UNSEEN:
-            ext = value if type(value) is ExtValue else ExtValue(value)
-            if not ext.is_finite:
-                if not allow_infinite:
-                    raise ValueError(f"infinite utility at {what} {prof}")
-            elif ext.fraction.numerator < 0 and not allow_negative:
-                raise ValueError(f"negative promise at {what} {prof}")
-            elif not ext.fraction.numerator:
-                ext = None
-            exts[id(value)] = ext
-        if ext is not None:
-            table[prof] = ext
-    return table
+
+    def check(value: object, prof: Sequence[int] | None = None) -> None:
+        ext = value if type(value) is ExtValue else ExtValue(value)
+        fault = None
+        if not ext.is_finite:
+            fault = None if allow_infinite else "infinite utility"
+        elif ext.fraction.numerator < 0:
+            fault = None if allow_negative else "negative promise"
+        elif not ext.fraction.numerator:
+            ext = None
+        if fault is not None:
+            if prof is None:
+                prof = next(key for key, other in raw.items() if other is value)
+            raise ValueError(f"{fault} at {what} {prof}")
+        exts[id(value)] = ext
+
+    if not _keys_ok(raw.keys(), sizes):
+        checked = {}
+        for key, value in raw.items():
+            prof = _check_profile(key, sizes, what)
+            if id(value) not in exts:
+                check(value, prof)
+            checked[prof] = value
+        raw = checked
+    values = raw.values()
+    objects = dict(zip(map(id, values), values))
+    for ident, value in objects.items():
+        if ident not in exts:
+            check(value)
+    if all(exts[ident] is value for ident, value in objects.items()):
+        return dict(raw)
+    exts_of = map(exts.__getitem__, map(id, values))
+    return {key: ext for key, ext in zip(raw, exts_of) if ext is not None}
 
 
 def _check_players(

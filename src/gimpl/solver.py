@@ -19,9 +19,9 @@ every desired strategy a private off-region profile. The stability check
 passing it.
 
 Everything operates on normal-form games; expand graphical games first. The
-search refuses desired regions above ``MAX_PROFILES`` (65,536) profiles
-before it lists any, the same cap ``verify`` and ``cost`` apply to the
-regions they sum payments over.
+search and ``zero_cost_promise`` refuse desired regions above
+``MAX_PROFILES`` (65,536) profiles before they list any, the same cap
+``verify`` and ``cost`` apply to the regions they sum payments over.
 """
 
 from __future__ import annotations
@@ -319,6 +319,14 @@ def _scan_assignments(
     return Fraction(best, scale), picks, tables
 
 
+def _refuse_large_region(region: RectRegion) -> None:
+    """Refuse a desired region above ``MAX_PROFILES`` profiles, the cap
+    ``verify`` sums payments under, before any profile is listed."""
+    count = math.prod(map(len, region.sets))
+    if count > MAX_PROFILES:
+        raise ValueError(f"desired region has {count} profiles, above the {MAX_PROFILES} cap")
+
+
 def _refuse_many_opponents(game: AnyGame, player: int) -> None:
     """Refuse a player with more than ``MAX_PROFILES`` opponent parts, before
     any off-region payment is listed."""
@@ -383,9 +391,7 @@ def min_budget_solve(
             f"assignment space has {total} elements, above the {max_assignments} cap; "
             "this exhaustive search is meant for desk-scale instances"
         )
-    count = math.prod(map(len, region.sets))
-    if count > MAX_PROFILES:
-        raise ValueError(f"desired region has {count} profiles, above the {MAX_PROFILES} cap")
+    _refuse_large_region(region)
     for i in range(game.n_players):
         _refuse_many_opponents(game, i)
 
@@ -517,8 +523,11 @@ def zero_cost_promise(
     Requires the region to pass the stability check. On regions that leave
     every player some undesired opponent profile, the infinite entries make
     each outside strategy strictly dominated while never touching an
-    undominated profile, so the promise verifies at budget 0.
+    undominated profile, so the promise verifies at budget 0. Desired
+    regions above ``MAX_PROFILES`` profiles, which ``verify`` could not
+    price, are refused before the check.
     """
+    _refuse_large_region(region)
     view = _as_view(game)
     report = is_pne(view, region)
     if not report.holds:

@@ -558,6 +558,26 @@ def test_solve_refuses_a_large_desired_region_before_enumerating(tmp_path):
     )
 
 
+def test_pne_refuses_a_large_desired_region_before_the_check(tmp_path):
+    # a bare 400 x 400 game with the full region is trivially stable, but
+    # verify could not price the promise pne would emit for it
+    document = {
+        "format": "gipf-1",
+        "kind": "normal",
+        "players": [
+            {"name": f"p{i}", "strategies": [f"s{k}" for k in range(400)]} for i in (0, 1)
+        ],
+        "region": {"sets": [list(range(400))] * 2},
+    }
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = _run_cli("pne", str(path))
+    _assert_one_line_error(proc)
+    assert proc.stderr.decode() == (
+        "gimpl: desired region has 160000 profiles, above the 65536 cap\n"
+    )
+
+
 _MUTANTS = [
     "1e100000000", 1.5, True, False, None, 10**30, -1, 0, 2, "inf", "1/0", "x",
     [], {}, [[]], [[0], [0]], [[[0, [1]], []]], {"player": 0, "profile": [0, 0], "value": 1},

@@ -2,8 +2,11 @@
 
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gimpl import (
     ExtValue,
@@ -15,6 +18,7 @@ from gimpl import (
     parse_instance,
     serialize_instance,
 )
+from gimpl import instancefmt
 from gimpl.cli import run
 
 from _support import random_game
@@ -230,3 +234,86 @@ def test_duplicate_entries_are_refused(tmp_path):
         assert result.exit_code == 1 and result.payload["error"] == message
     # the same profile under two players is no duplicate
     assert parse_instance(json.dumps(dict(EX1_DOCUMENT, utilities=twice[:2])))
+
+
+# Entry lists for a (2, 3) game: clean entries around one spoiled entry, or
+# mixed with many. A spoiled entry has a profile element that equals an int
+# (True, 1.0), an unhashable or out-of-range one, a missing field, a player
+# out of range or a value that is neither an int nor a string; clean
+# entries repeat (player, profile) pairs often.
+INDEX = st.sampled_from([0, 1, 2, 3, -1, True, False, 1.0, 0.0, [0], "0", None])
+CLEAN_ENTRY = st.fixed_dictionaries(
+    {
+        "player": st.integers(0, 1),
+        "profile": st.lists(st.integers(0, 1), min_size=2, max_size=2),
+        "value": st.sampled_from([1, -1, 0, "1/2", "-3", "inf"]),
+    }
+)
+SPOILED_ENTRY = st.one_of(
+    st.builds(lambda e, x: dict(e, profile=[x, e["profile"][1]]), CLEAN_ENTRY, INDEX),
+    st.builds(lambda e, x: dict(e, profile=[e["profile"][0], x]), CLEAN_ENTRY, INDEX),
+    st.builds(
+        lambda e, p: dict(e, profile=p),
+        CLEAN_ENTRY,
+        st.lists(INDEX, max_size=3) | st.sampled_from([None, 0, "ab", {"a": 0}]),
+    ),
+    st.builds(
+        lambda e, x: dict(e, player=x),
+        CLEAN_ENTRY,
+        st.sampled_from([2, -1, True, 1.0, "0", None]),
+    ),
+    st.builds(
+        lambda e, x: dict(e, value=x),
+        CLEAN_ENTRY,
+        st.sampled_from(["x", "1.5", 1.5, True, None, [1]]),
+    ),
+    st.builds(
+        lambda e, field: {k: v for k, v in e.items() if k != field},
+        CLEAN_ENTRY,
+        st.sampled_from(["player", "profile", "value"]),
+    ),
+)
+ENTRY_LISTS = st.one_of(
+    st.builds(
+        lambda clean, spoiled, at: clean[:at] + [spoiled] + clean[at:],
+        st.lists(CLEAN_ENTRY, max_size=6),
+        SPOILED_ENTRY,
+        st.integers(0, 6),
+    ),
+    st.lists(CLEAN_ENTRY | SPOILED_ENTRY | st.sampled_from([0, "x", None, []]), max_size=8),
+    st.lists(CLEAN_ENTRY, max_size=8),
+    st.sampled_from([{}, "x", 0]),
+)
+# a self-loop makes the game refuse its edges after the utilities are read
+KINDS = {"normal": None, "graphical": [[0, 1]], "graphical, bad edge": [[0, 0]]}
+
+
+def _parsed(text):
+    """Every table of the parsed document with its keys' element types, or
+    the error text."""
+    try:
+        doc = parse_instance(text)
+    except FormatError as exc:
+        return str(exc)
+    tables = doc.game.tables + (doc.promise.entries if doc.promise else ())
+    return [[(key, [type(x) for x in key], value) for key, value in t.items()] for t in tables]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["utilities", "promise"]), st.sampled_from(sorted(KINDS)), ENTRY_LISTS)
+def test_bulk_and_per_entry_readers_agree(field, kind, entries):
+    document = {
+        "format": "gipf-1",
+        "kind": kind.split(",")[0],
+        "players": [
+            {"name": "a", "strategies": ["x", "y"]},
+            {"name": "b", "strategies": ["x", "y", "z"]},
+        ],
+        field: entries,
+    }
+    if KINDS[kind] is not None:
+        document["edges"] = KINDS[kind]
+    text = json.dumps(document)
+    bulk = _parsed(text)
+    with mock.patch.object(instancefmt, "_decode_entries", instancefmt._read_entries):
+        assert _parsed(text) == bulk

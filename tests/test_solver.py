@@ -356,6 +356,12 @@ def test_zero_cost_promise_examples(ce1):
     with pytest.raises(ValueError, match="not a promise-Nash equilibrium"):
         zero_cost_promise(ce1, RectRegion.make([[1], [1]]))
 
+    # a stable region verify could not price is refused, as solve refuses it
+    bare = Game.make(["a", "b"], [[f"s{k}" for k in range(300)]] * 2, [{}, {}])
+    with pytest.raises(ValueError) as refused:
+        zero_cost_promise(bare, RectRegion.full(bare))
+    assert str(refused.value) == "desired region has 90000 profiles, above the 65536 cap"
+
 
 def test_is_pne_graphical_agrees_with_expansion():
     import itertools
