@@ -29,6 +29,7 @@ from .solver import (
     is_equitable,
     is_pne,
     min_budget_solve,
+    pne_promise,
     solve_exact,
     zero_cost_promise,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "oracle_min_budget",
     "oracle_zero_cost",
     "parse_instance",
+    "pne_promise",
     "serialize_instance",
     "solve_exact",
     "undominated",

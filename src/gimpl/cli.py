@@ -37,11 +37,9 @@ from .model import GraphicalGame, ModifiedGameView, expand_graphical
 from .oracle import oracle_min_budget
 from .solver import (
     DominatorMapping,
-    _refuse_large_region,
-    is_pne,
     min_budget_solve,
+    pne_promise,
     solve_exact,
-    zero_cost_promise,
 )
 from .values import INF, ExtValue
 
@@ -153,10 +151,9 @@ def _cmd_solve(args) -> CommandResult:
 
 def _cmd_pne(args) -> CommandResult:
     doc = _load_with_region(args)
-    _refuse_large_region(doc.region)  # before the check, as zero_cost_promise does
     view = ModifiedGameView(doc.game, doc.promise)
-    report = is_pne(view, doc.region)
-    if not report.holds:
+    report, promise = pne_promise(view, doc.region)
+    if promise is None:
         assert report.defector is not None
         return CommandResult(
             "no",
@@ -171,7 +168,6 @@ def _cmd_pne(args) -> CommandResult:
         "pne": True,
         "assignments": [list(entry) for entry in report.assignments or ()],
     }
-    promise = zero_cost_promise(view, doc.region)
     if doc.promise is None:
         emitted = InstanceDoc(
             game=doc.game, region=doc.region, budget=ExtValue(0), promise=promise

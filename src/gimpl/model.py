@@ -23,8 +23,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Iterator, KeysView, Mapping, Sequence, Union
+from functools import cached_property
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Union
 
 from .values import ZERO, ExtValue, ValueLike
 
@@ -52,32 +52,6 @@ def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> P
     return prof
 
 
-@lru_cache(maxsize=8)
-def _key_space(sizes: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Every key of a table over ``sizes``; built only for at most
-    ``MAX_PROFILES`` keys, and kept for the last few shapes."""
-    return frozenset(itertools.product(*map(range, sizes)))
-
-
-def _keys_ok(keys: KeysView[object], sizes: tuple[int, ...]) -> bool:
-    """Whether every key is a tuple of ``len(sizes)`` exact ints in range.
-
-    The type pass comes first: ``(True, 0)`` and ``(1.0, 0)`` equal and hash
-    like ``(1, 0)``, so only it tells them apart. The ranges are then one
-    subset test against the key space when that has at most ``MAX_PROFILES``
-    keys, and each column's min and max otherwise.
-    """
-    if not (
-        set(map(type, keys)) <= {tuple}
-        and set(map(len, keys)) <= {len(sizes)}
-        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
-    ):
-        return False
-    if math.prod(sizes) <= MAX_PROFILES:
-        return keys <= _key_space(sizes)
-    return all(min(column) >= 0 and max(column) < size for column, size in zip(zip(*keys), sizes))
-
-
 def _canonical_table(
     raw: Mapping[Sequence[int], ValueLike] | None,
     sizes: Sequence[int],
@@ -89,14 +63,24 @@ def _canonical_table(
     """``raw`` with zero entries dropped and every key and value checked; the
     first fault in table order raises its own message.
 
-    The keys are checked for the whole table at once (``_keys_ok``) and key
-    by key only when that check fails. Each distinct value object is checked
-    once, in order of first use, so the first faulty value is the one at
-    the first faulty entry. A table that needs nothing converted or dropped
-    comes back as a plain copy.
+    The keys are checked for the whole table at once (tuples of
+    ``len(sizes)`` exact ints in range) and key by key only when that check
+    fails. Each distinct value object is checked once, in order of first
+    use, so the first faulty value is the one at the first faulty entry. A
+    table that needs nothing converted or dropped comes back as a plain
+    copy.
     """
     raw = raw or {}
-    sizes = tuple(sizes)
+    keys = raw.keys()
+    keys_ok = (
+        set(map(type, keys)) <= {tuple}
+        and set(map(len, keys)) <= {len(sizes)}
+        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+        and all(
+            min(column) >= 0 and max(column) < size
+            for column, size in zip(zip(*keys), sizes)
+        )
+    )
     exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
 
     def check(value: object, prof: Sequence[int] | None = None) -> None:
@@ -114,7 +98,7 @@ def _canonical_table(
             raise ValueError(f"{fault} at {what} {prof}")
         exts[id(value)] = ext
 
-    if not _keys_ok(raw.keys(), sizes):
+    if not keys_ok:
         checked = {}
         for key, value in raw.items():
             prof = _check_profile(key, sizes, what)

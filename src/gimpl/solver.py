@@ -19,7 +19,7 @@ every desired strategy a private off-region profile. The stability check
 passing it.
 
 Everything operates on normal-form games; expand graphical games first. The
-search and ``zero_cost_promise`` refuse desired regions above
+search and ``pne_promise`` refuse desired regions above
 ``MAX_PROFILES`` (65,536) profiles before they list any, the same cap
 ``verify`` and ``cost`` apply to the regions they sum payments over.
 """
@@ -514,27 +514,38 @@ def is_pne(game: "AnyGame | ModifiedGameView", region: RectRegion) -> PneReport:
     return PneReport(holds=True, defector=None, assignments=tuple(assignments))
 
 
-def zero_cost_promise(
+def pne_promise(
     game: "AnyGame | ModifiedGameView", region: RectRegion
-) -> PaymentPromise:
-    """Promise implementing a stable desired region for free: pay infinity on
-    desired rows whenever some opponent leaves the region, nothing else.
+) -> tuple[PneReport, PaymentPromise | None]:
+    """The stability check of ``region`` and, when it holds, the promise
+    that implements the region for free: infinity on desired rows whenever
+    some opponent leaves the region, nothing else.
 
-    Requires the region to pass the stability check. On regions that leave
-    every player some undesired opponent profile, the infinite entries make
-    each outside strategy strictly dominated while never touching an
-    undominated profile, so the promise verifies at budget 0. Desired
-    regions above ``MAX_PROFILES`` profiles, which ``verify`` could not
-    price, are refused before the check.
+    On regions that leave every player some undesired opponent profile, the
+    infinite entries make each outside strategy strictly dominated while
+    never touching an undominated profile, so the promise verifies at
+    budget 0. Desired regions above ``MAX_PROFILES`` profiles, which
+    ``verify`` could not price, are refused before the check.
     """
     _refuse_large_region(region)
     view = _as_view(game)
     report = is_pne(view, region)
     if not report.holds:
+        return report, None
+    tables = tuple(_infinite_off_region(view.game, region, i) for i in range(view.n_players))
+    return report, PaymentPromise(view.game.kind, tables)
+
+
+def zero_cost_promise(
+    game: "AnyGame | ModifiedGameView", region: RectRegion
+) -> PaymentPromise:
+    """``pne_promise``'s promise; a region that fails the stability check is
+    refused."""
+    report, promise = pne_promise(game, region)
+    if promise is None:
         assert report.defector is not None
         i, x = report.defector
         raise ValueError(
             f"not a promise-Nash equilibrium: strategy {x} of player {i} has no desired counter"
         )
-    tables = tuple(_infinite_off_region(view.game, region, i) for i in range(view.n_players))
-    return PaymentPromise(view.game.kind, tables)
+    return promise

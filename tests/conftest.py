@@ -5,9 +5,18 @@ t1, t2) together with its two known promises; CE1 is the 2x2 game on which
 the all-zero promise is not an exact implementation.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from gimpl import Game, PaymentPromise, RectRegion
+
+# the CLI tests run ``python -m gimpl.cli`` in child processes, which find the
+# package through PYTHONPATH as this process finds it through pytest's
+# ``pythonpath`` setting, with or without an install
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

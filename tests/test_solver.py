@@ -20,6 +20,7 @@ from gimpl import (
     is_equitable,
     is_pne,
     min_budget_solve,
+    pne_promise,
     solve_exact,
     verify,
     zero_cost_promise,
@@ -361,6 +362,28 @@ def test_zero_cost_promise_examples(ce1):
     with pytest.raises(ValueError) as refused:
         zero_cost_promise(bare, RectRegion.full(bare))
     assert str(refused.value) == "desired region has 90000 profiles, above the 65536 cap"
+
+
+def test_pne_promise_pairs_the_check_with_the_free_promise(ce1):
+    # one stability check gives the report and, on a yes, zero_cost_promise's promise
+    for sets in ([[0], [0]], [[0, 1], [0, 1]], [[1], [1]]):
+        region = RectRegion.make(sets)
+        report, promise = pne_promise(ce1, region)
+        assert report == is_pne(ce1, region)
+        if report.holds:
+            assert promise == zero_cost_promise(ce1, region)
+        else:
+            assert promise is None
+
+    # the cap comes before the check, stable region or not: strategy 0 of
+    # player 0 beats every desired strategy against desired strategy 1
+    game = Game.make(["a", "b"], [[f"s{k}" for k in range(300)]] * 2, [{(0, 1): 1}, {}])
+    for sets in ([range(300)] * 2, [range(1, 300)] * 2):
+        region = RectRegion.make([list(s) for s in sets])
+        with pytest.raises(ValueError) as refused:
+            pne_promise(game, region)
+        assert str(refused.value).endswith("profiles, above the 65536 cap")
+    assert not is_pne(game, RectRegion.make([list(range(1, 300))] * 2)).holds
 
 
 def test_is_pne_graphical_agrees_with_expansion():

@@ -198,8 +198,8 @@ SIZES = (2, 3)
 INDEX = st.integers(0, 1) | st.sampled_from([-1, 2, 3, True, False, 0.0, 1.0])
 CLEAN_KEY = st.tuples(st.integers(0, 1), st.integers(0, 2))
 # in range and of the right length, but holding True, False, 0.0 or 1.0:
-# such a key equals and hashes like an int key, so the subset test of the
-# ranges would take it and only the type pass refuses it
+# such a key equals and hashes like an int key and passes every range test,
+# so only the type pass refuses it
 TRAP_KEY = st.tuples(
     st.sampled_from([0, 1, True, False, 0.0, 1.0]), st.sampled_from([0, 2, True, 1.0, 2.0])
 )
