@@ -14,7 +14,6 @@ caller's collector state however the command ends.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import os
@@ -264,10 +263,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing reads it
-    and leaves it as it was."""
     parser = _Parser(
         prog="gimpl",
         description="Compute, verify, and exactify payment promises that "
