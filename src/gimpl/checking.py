@@ -5,17 +5,23 @@ game's undominated region only; payments attached to dominated profiles are
 free. A promise implements a desired region when every undominated strategy
 is desired (subset mode) and implements it exactly when, in addition, every
 desired strategy stays undominated.
+
+Both steps compute on exact numbers, never on floats: dominance compares the
+view's rank columns, and pricing sums the payments as ``ExtValue.exact``
+gives them (ints where integral, Fractions otherwise). Reports carry
+``ExtValue``s.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .domination import undominated_region
 from .model import MAX_PROFILES, AnyGame, ModifiedGameView, PaymentPromise, RectRegion
-from .values import ZERO, ExtValue
+from .values import INF, ZERO, ExtValue
 
 
 @dataclass(frozen=True)
@@ -30,26 +36,29 @@ class VerifyReport:
 
 def _max_payment_over(view: ModifiedGameView, region: RectRegion) -> ExtValue:
     """Largest total payment over the profiles of ``region``; regions with
-    more than ``MAX_PROFILES`` profiles are refused before any enumeration."""
+    more than ``MAX_PROFILES`` profiles are refused before any enumeration.
+
+    Each player's payments over the profiles are read once, through
+    ``key_at``, as the exact numbers of ``ExtValue.exact``; any infinite
+    payment makes the answer infinite."""
     count = math.prod(map(len, region.sets))
     if count > MAX_PROFILES:
         raise ValueError(
             f"cost needs the {count} profiles of the undominated region, above the "
             f"{MAX_PROFILES} cap"
         )
-    worst = ZERO
-    n = view.n_players
-    for profile in itertools.product(*region.sets):
-        total: ExtValue = ZERO
-        for i in range(n):
-            total = total + view.promise_at(i, profile)
-            if not total.is_finite:
-                break
-        if worst < total:
-            worst = total
-        if not worst.is_finite:
-            break
-    return worst
+    if view.promise is None:
+        return ZERO
+    profiles = list(itertools.product(*region.sets))
+    key_at, exact = view.game.key_at, operator.attrgetter("exact")
+    totals = [0] * count
+    for i, table in enumerate(view.promise.entries):
+        keys = map(key_at, itertools.repeat(i), profiles)
+        payments = list(map(exact, map(table.get, keys, itertools.repeat(ZERO))))
+        if None in payments:
+            return INF
+        totals = list(map(operator.add, totals, payments))
+    return ExtValue(max(totals))
 
 
 def cost(game: AnyGame, promise: PaymentPromise | None) -> ExtValue:

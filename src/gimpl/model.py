@@ -23,6 +23,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -473,7 +474,10 @@ class ModifiedGameView:
         the distinct payoffs (infinity highest, 0 for unset keys), so that
         the ints order as the payoffs do.
 
-        Built once per player, straight from the tables. More than
+        Built once per player, straight from the tables, on the exact
+        numbers of ``ExtValue.exact`` (ints where integral, Fractions
+        otherwise, never floats): only keys that both the utility and the
+        promise table hold are summed, infinity absorbing. More than
         ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
         payoffs, are refused before any is built.
         """
@@ -491,18 +495,28 @@ class ModifiedGameView:
                 f"dominance for player {player} needs {count} payoffs, above the "
                 f"{MAX_PAYOFFS} cap"
             )
-        totals = dict(self._tables[player])
+        base = self._tables[player]
+        totals = dict(base)
+        # the keys both tables hold, summed; None (infinity) absorbs
+        sums: dict[tuple[int, ...], int | Fraction | None] = {}
         if self.promise is not None:
             bonus = self.promise.entries[player]
-            both = {key: totals[key] + bonus[key] for key in totals.keys() & bonus.keys()}
             totals.update(bonus)
-            totals.update(both)
+            for key in base.keys() & bonus.keys():
+                extra = totals.pop(key).exact
+                sums[key] = None if extra is None else base[key].exact + extra
+        # every other value is read once per distinct object, by id
         values = list(totals.values())
         objects = dict(zip(map(id, values), values))
-        rank = {v: r for r, v in enumerate(sorted({ZERO, *objects.values()}))}
-        rank_of = {i: rank[v] for i, v in objects.items()}
+        exact = {ident: value.exact for ident, value in objects.items()}
+        finite = {0, *exact.values(), *sums.values()}
+        finite.discard(None)
+        rank = {number: r for r, number in enumerate(sorted(finite))}
+        rank[None] = len(finite)
+        rank_of = {ident: rank[number] for ident, number in exact.items()}
         ranked = dict(zip(totals, map(rank_of.__getitem__, map(id, values))))
-        keys, get, zero = self.game.keys, ranked.get, itertools.repeat(rank[ZERO])
+        ranked.update(zip(sums, map(rank.__getitem__, sums.values())))
+        keys, get, zero = self.game.keys, ranked.get, itertools.repeat(rank[0])
         columns = [list(map(get, keys(player, s), zero)) for s in range(self.sizes[player])]
         self._columns[player] = columns
         return columns

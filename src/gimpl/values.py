@@ -1,9 +1,13 @@
 """Exact extended values: rationals plus a single +infinity element.
 
-Every quantity in this package (utilities, payment promises, budgets, costs)
-is an :class:`ExtValue`. Finite values are `fractions.Fraction` underneath,
-so all arithmetic is bit-exact; infinity is absorbing under addition and
-strictly above every finite value.
+Every quantity this package takes or returns (utilities, payment promises,
+budgets, costs) is an :class:`ExtValue`. Finite values are
+`fractions.Fraction` underneath, so all arithmetic is bit-exact; infinity is
+absorbing under addition and strictly above every finite value. Code that
+reads many values at once (dominance ranks, pricing) computes on
+:attr:`ExtValue.exact` instead: the same number as a plain ``int`` when it
+is integral, a ``Fraction`` otherwise and ``None`` for infinity, so it stays
+exact and never goes through floats.
 """
 
 from __future__ import annotations
@@ -54,6 +58,15 @@ class ExtValue:
     @property
     def is_finite(self) -> bool:
         return self._frac is not None
+
+    @property
+    def exact(self) -> "int | Fraction | None":
+        """The value as an int when integral, the Fraction otherwise, and
+        None for infinity; ints add, hash and compare natively."""
+        frac = self._frac
+        if frac is not None and frac.denominator == 1:
+            return frac.numerator
+        return frac
 
     @property
     def fraction(self) -> Fraction:

@@ -1,12 +1,52 @@
-"""Shared samplers and fixture graphs for the test suite."""
+"""Shared samplers, fixture graphs and a time limit for the test suite."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
+from typing import Callable, Iterator
 
-from gimpl import Game, RectRegion
+from gimpl import Game, GraphicalGame, PaymentPromise, RectRegion
 from gimpl.reductions import ColoringInstance
+
+# non-integral values over several denominators, as gipf-1 "p/q" strings
+FRACTIONS = ("1/2", "2/3", "3/5", "5/7", "7/4", "4/3", "11/6")
+
+
+def mixed_utility(rng: random.Random) -> int | str:
+    """A utility that is 0 (an absent entry), a negative or positive int, or
+    a non-integral fraction of either sign."""
+    roll = rng.random()
+    if roll < 0.25:
+        return 0
+    if roll < 0.6:
+        return rng.randint(-3, 3)
+    return ("-" if rng.random() < 0.4 else "") + rng.choice(FRACTIONS)
+
+
+def mixed_payment(rng: random.Random) -> int | str:
+    """A promised payment that is 0 (an absent entry), a positive int, a
+    non-integral fraction or infinity."""
+    roll = rng.random()
+    if roll < 0.4:
+        return 0
+    if roll < 0.45:
+        return "inf"
+    if roll < 0.75:
+        return rng.randint(1, 3)
+    return rng.choice(FRACTIONS)
+
+
+def _table(rng: random.Random, sizes, value: Callable[[random.Random], int | str]) -> dict:
+    """One sampled value per key over ``sizes``, zero values left out."""
+    table = {}
+    for key in itertools.product(*(range(s) for s in sizes)):
+        drawn = value(rng)
+        if drawn:
+            table[key] = drawn
+    return table
 
 
 def random_game(
@@ -16,21 +56,46 @@ def random_game(
     max_strats: int = 4,
     lo: int = 0,
     hi: int = 4,
+    value: Callable[[random.Random], int | str] | None = None,
 ) -> Game:
+    """A random normal-form game; utilities are ints in [lo, hi] unless
+    ``value`` samples them."""
     n = n_players if n_players is not None else rng.choice([2, 3])
     sizes = [rng.randint(min_strats, max_strats) for _ in range(n)]
-    utilities = []
-    for _ in range(n):
-        table = {}
-        for profile in itertools.product(*(range(s) for s in sizes)):
-            value = rng.randint(lo, hi)
-            if value:
-                table[profile] = value
-        utilities.append(table)
+    value = value or (lambda r: r.randint(lo, hi))
     return Game.make(
         [f"p{i + 1}" for i in range(n)],
         [[f"s{k}" for k in range(s)] for s in sizes],
-        utilities,
+        [_table(rng, sizes, value) for _ in range(n)],
+    )
+
+
+def random_graphical(
+    rng: random.Random, value: Callable[[random.Random], int | str] | None = None
+) -> GraphicalGame:
+    """A random graphical game of 2 to 6 players with 2 or 3 strategies each;
+    local utilities are ints in [0, 4] unless ``value`` samples them."""
+    n = rng.randint(2, 6)
+    sizes = [rng.randint(2, 3) for _ in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
+    shell = GraphicalGame.make(
+        [f"p{i}" for i in range(n)],
+        [[f"s{k}" for k in range(s)] for s in sizes],
+        edges,
+        [{} for _ in range(n)],
+    )
+    value = value or (lambda r: r.randint(0, 4))
+    tables = [_table(rng, shell.key_sizes(i), value) for i in range(n)]
+    return GraphicalGame.make(shell.players, shell.strategies, edges, tables)
+
+
+def random_promise(
+    rng: random.Random, game, value: Callable[[random.Random], int | str] = mixed_payment
+) -> PaymentPromise:
+    """A promise on every key of ``game``'s layout, each payment sampled by
+    ``value``."""
+    return PaymentPromise.make(
+        game, [_table(rng, game.key_sizes(i), value) for i in range(game.n_players)]
     )
 
 
@@ -93,3 +158,24 @@ def petersen_graph() -> ColoringInstance:
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     )
     return ColoringInstance.make([f"v{i}" for i in range(10)], edges)
+
+
+class TimeLimitExceeded(Exception):
+    """A block ran past its time limit."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float, what: str) -> Iterator[None]:
+    """Raise ``TimeLimitExceeded`` naming ``what`` in the block once it has
+    run ``seconds`` of wall time; main thread only (a SIGALRM timer)."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,15 +1,29 @@
 """Promise cost and implementation verification."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gimpl import (
     INF,
     ZERO,
     ExtValue,
+    ModifiedGameView,
     PaymentPromise,
     RectRegion,
     cost,
+    undominated_region,
     verify,
+)
+
+from _support import (
+    mixed_utility,
+    random_game,
+    random_graphical,
+    random_promise,
+    random_region,
 )
 
 
@@ -121,3 +135,23 @@ def test_verify_graphical_view_directly():
     assert report.holds
     promise = PaymentPromise.make(gg, [{(0, 0): "1/3"}, {}])
     assert cost(gg, promise) == ExtValue("1/3")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_cost_is_the_largest_payment_total_over_the_undominated_region(seed, graphical):
+    # fractional and infinite payments, on normal and graphical views
+    rng = random.Random(seed)
+    if graphical:
+        game = random_graphical(rng, mixed_utility)
+    else:
+        game = random_game(rng, value=mixed_utility)
+    promise = random_promise(rng, game)
+    view = ModifiedGameView(game, promise)
+    expected = max(
+        sum((view.promise_at(i, o) for i in range(game.n_players)), ZERO)
+        for o in undominated_region(view).profiles()
+    )
+    assert cost(game, promise) == expected
+    region = random_region(rng, game)
+    assert verify(game, promise, region, INF, rng.choice(["subset", "exact"])).cost == expected

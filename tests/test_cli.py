@@ -19,6 +19,8 @@ from gimpl import (
 import gimpl.cli
 from gimpl.cli import main, run
 
+from _support import time_limit
+
 
 def _write(tmp_path, name, doc: InstanceDoc) -> str:
     path = tmp_path / name
@@ -630,13 +632,17 @@ def test_mutated_documents_exit_cleanly(tmp_path, ex1, ex1_region, ex1_promise):
     emitted = tmp_path / "emitted.json"
     solved = 0
     for _ in range(200):
-        path.write_text(json.dumps(_mutate(rng.choice(bases), rng)), encoding="utf-8")
+        mutant = json.dumps(_mutate(rng.choice(bases), rng))
+        path.write_text(mutant, encoding="utf-8")
         for command in ("analyze", "verify", "pne", "solve"):
-            result = run([command, str(path)])
+            # a hang fails the test and names the mutant instead of stalling the suite
+            with time_limit(5, f"{command} on mutant {mutant}"):
+                result = run([command, str(path)])
             assert result.status in ("yes", "no", "error")
             assert json.loads(json.dumps(result.payload))["status"] == result.status
             if command == "solve" and result.status == "yes":
                 emitted.write_text(json.dumps(result.payload["instance"]), encoding="utf-8")
-                assert run(["verify", str(emitted)]).status == "yes"
+                with time_limit(5, f"verify of the solve output on mutant {mutant}"):
+                    assert run(["verify", str(emitted)]).status == "yes"
                 solved += 1
     assert solved  # some mutants stay solvable, so the re-verification runs

@@ -4,10 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gimpl import (
     ModifiedGameView,
-    GraphicalGame,
     RectRegion,
     dominates,
     expand_graphical,
@@ -16,7 +17,7 @@ from gimpl import (
     undominated_region,
 )
 
-from _support import random_game
+from _support import mixed_utility, random_game, random_graphical, random_promise
 
 
 def test_worked_example_witness(ex1):
@@ -113,32 +114,10 @@ def test_witnesses_reverify_by_exhaustive_scan():
                 assert dominates(view, i, x, y) is (never_worse and somewhere_better)
 
 
-def _random_graphical(rng):
-    n = rng.randint(2, 6)
-    sizes = [rng.randint(2, 3) for _ in range(n)]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
-    shell = GraphicalGame.make(
-        [f"p{i}" for i in range(n)],
-        [[f"s{k}" for k in range(s)] for s in sizes],
-        edges,
-        [{} for _ in range(n)],
-    )
-    tables = []
-    for i in range(n):
-        local_sizes = [sizes[i]] + [sizes[j] for j in shell.neighborhoods[i]]
-        table = {}
-        for key in itertools.product(*(range(s) for s in local_sizes)):
-            v = rng.randint(0, 4)
-            if v:
-                table[key] = v
-        tables.append(table)
-    return GraphicalGame.make(shell.players, shell.strategies, edges, tables)
-
-
 def test_graphical_fast_path_agrees_with_expansion():
     rng = random.Random(555)
     for _ in range(30):
-        gg = _random_graphical(rng)
+        gg = random_graphical(rng)
         local_view = ModifiedGameView(gg)
         flat_view = ModifiedGameView(expand_graphical(gg))
         for i in range(gg.n_players):
@@ -150,7 +129,7 @@ def test_graphical_agreement_with_promises():
 
     rng = random.Random(556)
     for _ in range(15):
-        gg = _random_graphical(rng)
+        gg = random_graphical(rng)
         tables = []
         for i in range(gg.n_players):
             local_sizes = [gg.sizes[i]] + [gg.sizes[j] for j in gg.neighborhoods[i]]
@@ -169,3 +148,26 @@ def test_graphical_agreement_with_promises():
         )
         for i in range(gg.n_players):
             assert undominated(local_view, i) == undominated(flat_view, i)
+
+
+def _order(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_rank_columns_order_as_the_payoffs(seed, graphical):
+    # negative and fractional utilities, absent entries, and fractional and
+    # infinite payments: each column entry sits where its payoff sits
+    rng = random.Random(seed)
+    if graphical:
+        game = random_graphical(rng, mixed_utility)
+    else:
+        game = random_game(rng, value=mixed_utility)
+    view = ModifiedGameView(game, random_promise(rng, game))
+    for i in range(game.n_players):
+        columns = view.columns(i)
+        for k, opp in enumerate(view.opponent_profiles(i)):
+            for x, y in itertools.product(range(game.sizes[i]), repeat=2):
+                payoffs = _order(view.payoff(i, x, opp), view.payoff(i, y, opp))
+                assert _order(columns[x][k], columns[y][k]) == payoffs

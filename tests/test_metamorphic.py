@@ -1,6 +1,6 @@
 """Metamorphic relations: transformations of a game and its desired region
-whose effect on the solver's answer follows from the definitions of
-dominance and cost alone.
+(and, for ``verify``, of a promise) whose effect on the answer follows from
+the definitions of dominance and cost alone.
 
 Each relation maps (game, region) to a transformed pair and states what the
 answer on that pair must be, so it checks the solver at any size without a
@@ -14,9 +14,18 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gimpl import INF, ExtValue, Game, RectRegion, is_pne, min_budget_solve
+from gimpl import (
+    INF,
+    ExtValue,
+    Game,
+    PaymentPromise,
+    RectRegion,
+    is_pne,
+    min_budget_solve,
+    verify,
+)
 
-from _support import random_game, random_region
+from _support import random_game, random_promise, random_region
 
 SEEDS = st.integers(0, 2**32 - 1)
 SHIFTS = [-3, -1, 0, Fraction(1, 2), 2, Fraction(7, 3)]
@@ -37,6 +46,10 @@ def _remake(game, utility):
 
 def _value(game, i, profile):
     return game.utility(i, profile).fraction
+
+
+def _scaled(value, scale):
+    return ExtValue(value.fraction * scale) if value.is_finite else INF
 
 
 @settings(max_examples=80, deadline=None)
@@ -62,8 +75,7 @@ def test_scaling_the_utilities_scales_delta(seed):
     scale = Fraction(3, 2)
     scaled = _remake(game, lambda i, p: _value(game, i, p) * scale)
     before, after = min_budget_solve(game, region), min_budget_solve(scaled, region)
-    expected = ExtValue(before.delta.fraction * scale) if before.delta.is_finite else INF
-    assert after.delta == expected
+    assert after.delta == _scaled(before.delta, scale)
     assert after.mapping == before.mapping
 
 
@@ -82,3 +94,72 @@ def test_relabeling_strategies_changes_neither_delta_nor_stability(seed):
     )
     assert min_budget_solve(relabeled, moved).delta == min_budget_solve(game, region).delta
     assert is_pne(relabeled, moved).holds == is_pne(game, region).holds
+
+
+def _verify_case(seed):
+    """A random instance with a random promise (fractional and infinite
+    payments), budget and mode."""
+    rng, game, region = _instance(seed)
+    promise = random_promise(rng, game)
+    budget = ExtValue(rng.choice([0, 1, "5/2", 6, "inf"]))
+    return rng, game, region, promise, budget, rng.choice(["subset", "exact"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_verify_does_not_see_a_function_of_the_opponents(seed):
+    rng, game, region, promise, budget, mode = _verify_case(seed)
+    shifts = [
+        {p[:i] + p[i + 1 :]: rng.choice(SHIFTS) for p in game.profiles()}
+        for i in range(game.n_players)
+    ]
+    shifted = _remake(game, lambda i, p: _value(game, i, p) + shifts[i][p[:i] + p[i + 1 :]])
+    assert verify(shifted, promise, region, budget, mode) == verify(
+        game, promise, region, budget, mode
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_scaling_utilities_and_promise_scales_the_verified_cost(seed):
+    _, game, region, promise, budget, mode = _verify_case(seed)
+    scale = Fraction(3, 2)
+    scaled = _remake(game, lambda i, p: _value(game, i, p) * scale)
+    scaled_promise = PaymentPromise.make(
+        scaled, [{p: _scaled(v, scale) for p, v in table.items()} for table in promise.entries]
+    )
+    before = verify(game, promise, region, budget, mode)
+    after = verify(scaled, scaled_promise, region, _scaled(budget, scale), mode)
+    assert after.undominated_region == before.undominated_region
+    assert after.violation == before.violation
+    assert after.cost == _scaled(before.cost, scale)
+    assert after.holds == before.holds
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_relabeling_strategies_moves_the_undominated_region(seed):
+    rng, game, region, promise, budget, mode = _verify_case(seed)
+    labels = [rng.sample(range(n), n) for n in game.sizes]
+    old_of = [sorted(range(n), key=label.__getitem__) for n, label in zip(game.sizes, labels)]
+
+    def old(q):
+        return tuple(o[s] for o, s in zip(old_of, q))
+
+    def new(p):
+        return tuple(label[s] for label, s in zip(labels, p))
+
+    def moved(r):
+        return RectRegion.make(
+            [[label[s] for s in members] for label, members in zip(labels, r.sets)]
+        )
+
+    relabeled = _remake(game, lambda i, q: _value(game, i, old(q)))
+    relabeled_promise = PaymentPromise.make(
+        relabeled, [{new(p): v for p, v in table.items()} for table in promise.entries]
+    )
+    before = verify(game, promise, region, budget, mode)
+    after = verify(relabeled, relabeled_promise, moved(region), budget, mode)
+    assert after.undominated_region == moved(before.undominated_region)
+    assert after.cost == before.cost
+    assert after.holds == before.holds
