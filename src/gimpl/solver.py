@@ -149,7 +149,8 @@ def compute_v(
     For each desired profile the payment lifts the dominator to the best
     utility any of its assigned undesired strategies gets there, clamped at
     zero; desired strategies with no assigned strategies cost nothing.
-    Returns a total table over the desired region.
+    Returns a total table over the desired region. ``bench/tracing.py``
+    wraps it by name: remove it only with ROADMAP items 4 and 5.
     """
     game = _require_normal(game)
     region.validate_for(game)
@@ -238,7 +239,9 @@ def _scan_assignments(
     options combine by pointwise max. A leaf that passes the test is a
     strict improvement, so the first optimum in enumeration order is the one
     returned. Players with one desired strategy have nothing to choose and
-    enter as a constant.
+    enter as a constant. ``bench/tracing.py`` wraps it by name and reads
+    ``start`` and ``stop`` positionally: change that only with ROADMAP
+    items 4 and 5.
     """
     domains = [region.complement(game, i) for i in range(game.n_players)]
     desired_profiles, per_player, scale, positions = _payment_vectors(game, region, domains)
@@ -327,34 +330,25 @@ def _refuse_large_region(region: RectRegion) -> None:
         raise ValueError(f"desired region has {count} profiles, above the {MAX_PROFILES} cap")
 
 
-def _refuse_many_opponents(game: AnyGame, player: int) -> None:
-    """Refuse a player with more than ``MAX_PROFILES`` opponent parts, before
-    any off-region payment is listed."""
+def _off_region_rows(
+    game: AnyGame, region: RectRegion, player: int
+) -> list[list[tuple[int, ...]]]:
+    """Per desired strategy of ``player``, in region order, its keys against
+    the opponent parts that leave the region, in ``game.keys`` order.
+
+    A player with more than ``MAX_PROFILES`` opponent parts is refused
+    before any key is listed."""
     count = math.prod(game.sizes[j] for j in game.opponents(player))
     if count > MAX_PROFILES:
         raise ValueError(
             f"player {player} has {count} opponent profiles, above the {MAX_PROFILES} "
             "cap on off-region payments"
         )
-
-
-def _off_region_keys(
-    game: AnyGame, region: RectRegion, player: int, strategy: int
-) -> list[tuple[int, ...]]:
-    """Keys of ``strategy`` against the opponent parts of ``player`` that leave
-    the region: its keys minus its keys inside it, in ``game.keys`` order."""
-    _refuse_many_opponents(game, player)
-    inside = set(game.keys(player, strategy, region))
-    return list(itertools.filterfalse(inside.__contains__, game.keys(player, strategy)))
-
-
-def _infinite_off_region(
-    game: AnyGame, region: RectRegion, player: int
-) -> dict[tuple[int, ...], ExtValue]:
-    """Infinite payments on the player's desired rows against every
-    off-region opponent part."""
-    keys = (_off_region_keys(game, region, player, p) for p in region.sets[player])
-    return dict.fromkeys(itertools.chain.from_iterable(keys), INF)
+    rows = []
+    for p in region.sets[player]:
+        inside = set(game.keys(player, p, region))
+        rows.append(list(itertools.filterfalse(inside.__contains__, game.keys(player, p))))
+    return rows
 
 
 def min_budget_solve(
@@ -392,8 +386,7 @@ def min_budget_solve(
             "this exhaustive search is meant for desk-scale instances"
         )
     _refuse_large_region(region)
-    for i in range(game.n_players):
-        _refuse_many_opponents(game, i)
+    rows = [_off_region_rows(game, region, i) for i in range(game.n_players)]
 
     # bench/tracing.py reads the space size from (0, total); keep it until program-side stats
     best, picks, tables = _scan_assignments(game, region, 0, total)
@@ -403,8 +396,8 @@ def min_budget_solve(
             tuple(region.sets[i][k] for k in picks[i]) for i in range(game.n_players)
         ),
     )
-    for i, table in enumerate(tables):
-        table.update(_infinite_off_region(game, region, i))
+    for table, player_rows in zip(tables, rows):
+        table.update(dict.fromkeys(itertools.chain.from_iterable(player_rows), INF))
     # canonical by construction: nonzero values on in-range keys
     promise = PaymentPromise(game.kind, tuple(tables))
     return SolveResult(
@@ -451,8 +444,7 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
         table = {o: entries[o] for o in region.profiles() if entries.get(o, ZERO) != ZERO}
         # equitability leaves at least one private off-region part per desired
         # strategy: the k-th desired strategy keeps its k-th off-region key
-        for k, o_i in enumerate(region.sets[i]):
-            off_region = _off_region_keys(game, region, i, o_i)
+        for k, off_region in enumerate(_off_region_rows(game, region, i)):
             for key in off_region:
                 base = game.utility(i, key)
                 table[key] = big_m + 1 - base if key == off_region[k] else big_m - base
@@ -532,7 +524,10 @@ def pne_promise(
     report = is_pne(view, region)
     if not report.holds:
         return report, None
-    tables = tuple(_infinite_off_region(view.game, region, i) for i in range(view.n_players))
+    tables = tuple(
+        dict.fromkeys(itertools.chain.from_iterable(_off_region_rows(view.game, region, i)), INF)
+        for i in range(view.n_players)
+    )
     return report, PaymentPromise(view.game.kind, tables)
 
 

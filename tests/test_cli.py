@@ -646,3 +646,77 @@ def test_mutated_documents_exit_cleanly(tmp_path, ex1, ex1_region, ex1_promise):
                     assert run(["verify", str(emitted)]).status == "yes"
                 solved += 1
     assert solved  # some mutants stay solvable, so the re-verification runs
+
+
+def _resize(document, rng):
+    """A copy of ``document`` with its player count, one player's strategy
+    count or one region set's size changed. Half the time the utility
+    profiles and region sets that the change touches are adjusted to match,
+    so valid documents come out as well as broken ones."""
+    document = json.loads(json.dumps(document))
+    players, sets = document["players"], document["region"]["sets"]
+    utilities = document["utilities"]
+    adjust = rng.random() < 0.5
+    what = rng.choice(("players", "strategies", "region"))
+    if what == "players" and rng.random() < 0.5:  # a new last player
+        players.append({"name": "extra", "strategies": ["e0", "e1", "e2"][: rng.randint(1, 3)]})
+        if adjust:
+            sets.append([0])
+            for entry in utilities:
+                entry["profile"].append(0)
+    elif what == "players":  # drop the last player
+        players.pop()
+        if adjust:
+            sets.pop()
+            document["utilities"] = [
+                dict(entry, profile=entry["profile"][:-1])
+                for entry in utilities
+                if entry["player"] < len(players) and entry["profile"][-1] == 0
+            ]
+    elif what == "strategies" and players:
+        i = rng.randrange(len(players))
+        names = players[i]["strategies"]
+        size = max(0, len(names) + rng.choice((-3, -1, 1, 3)))
+        players[i]["strategies"] = (names + [f"x{k}" for k in range(len(names), size)])[:size]
+        if adjust and i < len(sets):
+            sets[i] = [s for s in sets[i] if s < size]
+            document["utilities"] = [entry for entry in utilities if entry["profile"][i] < size]
+    elif sets and players:
+        i = rng.randrange(min(len(sets), len(players)))
+        outside = sorted(set(range(len(players[i]["strategies"]))) - set(sets[i]))
+        if outside and rng.random() < 0.5:
+            sets[i] = sorted(sets[i] + [rng.choice(outside)])
+        elif sets[i]:
+            sets[i].remove(rng.choice(sets[i]))
+    return document
+
+
+def test_resized_construction_documents_exit_cleanly(monkeypatch, capsys, tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b\nb c\n", encoding="utf-8")
+    bases = [
+        run(["gen", "x3c", "--n", "1", "--seed", "0"]).payload,
+        run(["gen", "coloring", "--edges", str(edges)]).payload,
+    ]
+    rng = random.Random(20)
+    path = tmp_path / "resized.json"
+    seen = set()
+    for _ in range(150):
+        document = rng.choice(bases)
+        for _ in range(rng.choice((1, 2))):
+            document = _resize(document, rng)
+        mutant = json.dumps(document)
+        path.write_text(mutant, encoding="utf-8")
+        for command in ("analyze", "verify", "pne", "solve"):
+            with time_limit(5, f"{command} on resized {mutant[:2000]}"):
+                code = _main(monkeypatch, command, str(path))
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2)
+            assert json.loads(captured.out)["status"] == ("yes", "error", "no")[code]
+            if code == 1:
+                assert captured.err.startswith("gimpl: ") and captured.err.count("\n") == 1
+            else:
+                assert captured.err == ""
+            seen.add((command, code))
+    # the resized documents reach answers as well as refusals
+    assert {("solve", 0), ("solve", 1), ("pne", 2)} <= seen

@@ -8,6 +8,7 @@ second solver. The mapping is compared only under relations that keep the
 enumeration order: a relabeling moves the first optimal assignment.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -94,6 +95,63 @@ def test_relabeling_strategies_changes_neither_delta_nor_stability(seed):
     )
     assert min_budget_solve(relabeled, moved).delta == min_budget_solve(game, region).delta
     assert is_pne(relabeled, moved).holds == is_pne(game, region).holds
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_relabeling_players_keeps_delta_and_the_verified_cost(seed):
+    rng, game, region = _instance(seed)
+    order = rng.sample(range(game.n_players), game.n_players)  # new player k is old order[k]
+
+    def new(p):
+        return tuple(p[j] for j in order)
+
+    def moved(r):
+        return RectRegion.make([r.sets[j] for j in order])
+
+    relabeled = Game.make(
+        [game.players[j] for j in order],
+        [game.strategies[j] for j in order],
+        [{new(p): _value(game, j, p) for p in game.profiles()} for j in order],
+    )
+    before, after = min_budget_solve(game, region), min_budget_solve(relabeled, moved(region))
+    assert after.delta == before.delta
+    # the solver's promise carried over verifies alike; the relabeled search
+    # can settle on another first optimum, whose verified cost may differ
+    carried = PaymentPromise.make(
+        relabeled, [{new(p): v for p, v in before.promise.entries[j].items()} for j in order]
+    )
+    report = verify(game, before.promise, region, before.delta, "subset")
+    moved_report = verify(relabeled, carried, moved(region), before.delta, "subset")
+    assert moved_report.undominated_region == moved(report.undominated_region)
+    assert moved_report.cost == report.cost
+    assert moved_report.holds and report.holds
+    assert verify(relabeled, after.promise, moved(region), after.delta, "subset").holds
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_a_worse_copy_of_a_desired_strategy_leaves_delta(seed):
+    # player 0's new last strategy copies a desired strategy d, one lower for
+    # player 0 only: assigning it to d costs nothing, and no other gap moves
+    rng, game, region = _instance(seed)
+    d, copy = rng.choice(region.sets[0]), game.sizes[0]
+    sizes = (copy + 1, *game.sizes[1:])
+
+    def utility(i, p):
+        if p[0] != copy:
+            return _value(game, i, p)
+        return _value(game, i, (d, *p[1:])) - (1 if i == 0 else 0)
+
+    copied = Game.make(
+        game.players,
+        [[*game.strategies[0], "copy"], *game.strategies[1:]],
+        [
+            {p: utility(i, p) for p in itertools.product(*map(range, sizes))}
+            for i in range(game.n_players)
+        ],
+    )
+    assert min_budget_solve(copied, region).delta == min_budget_solve(game, region).delta
 
 
 def _verify_case(seed):

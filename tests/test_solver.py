@@ -1,6 +1,8 @@
 """Minimum-budget search, exactification, and the zero-cost characterization."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from gimpl import (
     ExtValue,
     Game,
     GraphicalGame,
+    InstanceDoc,
     ModifiedGameView,
     PaymentPromise,
     RectRegion,
@@ -21,12 +24,13 @@ from gimpl import (
     is_pne,
     min_budget_solve,
     pne_promise,
+    serialize_instance,
     solve_exact,
     verify,
     zero_cost_promise,
 )
 
-from _support import random_equitable_instance, random_game, random_region
+from _support import random_equitable_instance, random_game, random_region, time_limit
 
 
 def test_compute_v_worked_example(ex1, ex1_region):
@@ -249,6 +253,30 @@ def test_solver_search_depth_is_not_bounded_by_the_call_stack():
     result = min_budget_solve(game, region, max_assignments=None)
     assert result.delta == ZERO
     assert result.mapping.targets[0] == (0,) * 1499 + (1,)
+
+
+def test_off_region_payments_refuse_a_wide_opponent_space_first(tmp_path):
+    # 18 players with two strategies each, no utilities and a one-profile
+    # region: nothing to search and the region is stable, but player 0's
+    # off-region payments would range over 2^17 - 1 opponent profiles
+    n = 18
+    game = Game.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [{}] * n)
+    region = RectRegion.make([[0]] * n)
+    message = "player 0 has 131072 opponent profiles, above the 65536 cap on off-region payments"
+    for step in (min_budget_solve, pne_promise, zero_cost_promise):
+        with time_limit(5, step.__name__), pytest.raises(ValueError) as refusal:
+            step(game, region)
+        assert str(refusal.value) == message
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_instance(InstanceDoc(game=game, region=region)), encoding="utf-8")
+    for command in ("solve", "pne"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gimpl.cli", command, str(path)],
+            capture_output=True,
+            timeout=5,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"gimpl: {message}\n"
 
 
 def test_is_equitable_examples(ex1, ex1_region, ce1, ce1_region):
