@@ -31,7 +31,6 @@ from .solver import (
     min_budget_solve,
     pne_promise,
     solve_exact,
-    zero_cost_promise,
 )
 from .values import INF, ZERO, ExtValue
 
@@ -70,5 +69,4 @@ __all__ = [
     "undominated",
     "undominated_region",
     "verify",
-    "zero_cost_promise",
 ]

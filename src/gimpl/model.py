@@ -155,7 +155,8 @@ class _GameBase:
     against every such joint choice, optionally restricted to a region, in
     ``ModifiedGameView.opponent_profiles`` order: the same keys as
     ``key_of`` over those choices, built in one ``itertools.product``) and
-    ``key_at(i, profile)`` (the key that a full profile selects).
+    ``key_at(i, profile)`` (the key that a full profile selects). Both kinds
+    read a table entry through ``utility(i, key)``.
     """
 
     kind: ClassVar[str]
@@ -170,8 +171,8 @@ class _GameBase:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strategies)
 
-    def profiles(self) -> Iterator[Profile]:
-        return itertools.product(*(range(n) for n in self.sizes))
+    def utility(self, player: int, key: tuple[int, ...]) -> ExtValue:
+        return self.tables[player].get(key, ZERO)
 
     def max_utility(self) -> ExtValue:
         """Largest utility any player receives anywhere (0 for unset entries)."""
@@ -236,9 +237,6 @@ class Game(_GameBase):
 
     def key_at(self, player: int, profile: Profile) -> Profile:
         return profile
-
-    def utility(self, player: int, profile: Profile) -> ExtValue:
-        return self.utilities[player].get(profile, ZERO)
 
 
 @dataclass(frozen=True)
@@ -322,16 +320,8 @@ class GraphicalGame(_GameBase):
             ),
         )
 
-    def degree(self) -> int:
-        return max((len(js) for js in self.neighborhoods), default=0)
-
-    def local_key(self, player: int, profile: Profile) -> LocalKey:
+    def key_at(self, player: int, profile: Profile) -> LocalKey:
         return (profile[player],) + tuple(profile[j] for j in self.neighborhoods[player])
-
-    key_at = local_key
-
-    def local_utility(self, player: int, key: LocalKey) -> ExtValue:
-        return self.local_utilities[player].get(key, ZERO)
 
 
 AnyGame = Union[Game, GraphicalGame]
@@ -409,15 +399,8 @@ class PaymentPromise:
         )
         return cls(game.kind, tables)
 
-    @classmethod
-    def empty(cls, game: AnyGame) -> "PaymentPromise":
-        return cls(game.kind, tuple({} for _ in range(game.n_players)))
-
     def value(self, player: int, key: tuple[int, ...]) -> ExtValue:
         return self.entries[player].get(key, ZERO)
-
-    def is_zero(self) -> bool:
-        return all(not table for table in self.entries)
 
 
 class ModifiedGameView:
@@ -520,17 +503,6 @@ class ModifiedGameView:
         columns = [list(map(get, keys(player, s), zero)) for s in range(self.sizes[player])]
         self._columns[player] = columns
         return columns
-
-    def modified_utility(self, player: int, profile: Profile) -> ExtValue:
-        """Modified utility at a full strategy profile."""
-        opp = tuple(profile[j] for j in self.game.opponents(player))
-        return self.payoff(player, profile[player], opp)
-
-    def promise_at(self, player: int, profile: Profile) -> ExtValue:
-        """Promised payment to ``player`` at a full strategy profile."""
-        if self.promise is None:
-            return ZERO
-        return self.promise.entries[player].get(self.game.key_at(player, profile), ZERO)
 
 
 def _flatten(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ from .model import (
 from .values import INF, ZERO, ExtValue
 
 _SAMPLER_CAP = 10_000
+# Largest number of triple subsets ``gen_x3c(force="no")`` lets one cover search try.
+MAX_COVER_SUBSETS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,9 @@ def gen_x3c(n_hat: int, seed: int, force: str = "any") -> X3CInstance:
     force="yes" plants a disjoint cover and pads with random triples so that
     each element still occurs exactly three times; force="no" resamples until
     the brute-force oracle finds no cover (no such instance exists at n=1,
-    so the attempt cap will trip there); force="any" samples unconditionally.
+    so the attempt cap will trip there) and refuses n_hat >= 9, where one
+    search tries over ``MAX_COVER_SUBSETS`` subsets; force="any" samples
+    unconditionally.
     """
     if n_hat < 1:
         raise ValueError("n_hat must be at least 1")
@@ -162,6 +167,9 @@ def gen_x3c(n_hat: int, seed: int, force: str = "any") -> X3CInstance:
         return X3CInstance.make(n_hat, triples)
 
     if force == "no":
+        count = math.comb(n_elements, n_hat)
+        if count > MAX_COVER_SUBSETS:
+            raise ValueError(f"cover search over {count} subsets, above the {MAX_COVER_SUBSETS} cap")
         for _ in range(_SAMPLER_CAP):
             inst = X3CInstance.make(n_hat, _sample_occurrence_multiset(rng, n_elements, 3))
             if brute_x3c(inst) is None:
@@ -476,10 +484,11 @@ def brute_coloring(graph: ColoringInstance) -> tuple[int, ...] | None:
     return None
 
 
-def _coloring_layout(graph: ColoringInstance) -> tuple[int, int, int]:
-    """Index layout: vertex strategies, then color choices, then dummies."""
+def _coloring_layout(graph: ColoringInstance) -> tuple[int, int]:
+    """Index layout: vertex strategies, then color choices from the first
+    base, then dummies from the second."""
     n = graph.n_vertices
-    return n, n + 3 * n, n + 6 * n
+    return n, n + 3 * n
 
 
 def _col(col_base: int, v: int, c: int) -> int:
@@ -496,7 +505,7 @@ def coloring_to_exact(graph: ColoringInstance) -> tuple[Game, RectRegion, ExtVal
     one dummy per color choice paying that choice 1 against it.
     """
     n = graph.n_vertices
-    col_base, dummy_base, _ = _coloring_layout(graph)
+    col_base, dummy_base = _coloring_layout(graph)
     col = functools.partial(_col, col_base)
 
     names = (
@@ -540,7 +549,7 @@ def coloring_forward_promise(
     checked = ColoringInstance.make(graph.vertices, graph.edges, phi)
     assert checked.coloring is not None
     game, _, _ = coloring_to_exact(graph)
-    col_base, _, _ = _coloring_layout(graph)
+    col_base, _ = _coloring_layout(graph)
     col = functools.partial(_col, col_base)
 
     v1: dict[tuple[int, int], int] = {}

@@ -150,7 +150,8 @@ def compute_v(
     utility any of its assigned undesired strategies gets there, clamped at
     zero; desired strategies with no assigned strategies cost nothing.
     Returns a total table over the desired region. ``bench/tracing.py``
-    wraps it by name: remove it only with ROADMAP items 4 and 5.
+    wraps it by name: remove it only with ROADMAP's program-side run
+    statistics item.
     """
     game = _require_normal(game)
     region.validate_for(game)
@@ -240,8 +241,8 @@ def _scan_assignments(
     strict improvement, so the first optimum in enumeration order is the one
     returned. Players with one desired strategy have nothing to choose and
     enter as a constant. ``bench/tracing.py`` wraps it by name and reads
-    ``start`` and ``stop`` positionally: change that only with ROADMAP
-    items 4 and 5.
+    ``start`` and ``stop`` positionally: change that only with ROADMAP's
+    program-side run statistics item.
     """
     domains = [region.complement(game, i) for i in range(game.n_players)]
     desired_profiles, per_player, scale, positions = _payment_vectors(game, region, domains)
@@ -365,8 +366,11 @@ def min_budget_solve(
     index) with integer branch and bound, and keeps the first strict
     improvement: the result is the first optimal assignment in that order,
     so it is deterministic. The returned promise also pays infinity on
-    desired rows against undesired opponent profiles, which is what forces
-    the dominations.
+    desired rows against undesired opponent profiles, which makes each
+    domination strict only if such a profile exists. When exactly one player
+    has undesired strategies none does, and the promise can fail ``verify``:
+    two players (x, y and u, v), no utilities and region {x} x {u, v} give
+    delta 0, yet y is undominated and ``verify`` reports cost infinity.
 
     The search is exponential in the number of undesired strategies in the
     worst case; spaces whose raw size (before any pruning) exceeds
@@ -530,17 +534,3 @@ def pne_promise(
     )
     return report, PaymentPromise(view.game.kind, tables)
 
-
-def zero_cost_promise(
-    game: "AnyGame | ModifiedGameView", region: RectRegion
-) -> PaymentPromise:
-    """``pne_promise``'s promise; a region that fails the stability check is
-    refused."""
-    report, promise = pne_promise(game, region)
-    if promise is None:
-        assert report.defector is not None
-        i, x = report.defector
-        raise ValueError(
-            f"not a promise-Nash equilibrium: strategy {x} of player {i} has no desired counter"
-        )
-    return promise

@@ -30,7 +30,7 @@ from _support import (
 def test_worked_example_costs(ex1, ex1_promise, ex1_promise_cheap):
     assert cost(ex1, ex1_promise) == ExtValue("11/10")
     assert cost(ex1, ex1_promise_cheap) == ExtValue(1)
-    assert cost(ex1, PaymentPromise.empty(ex1)) == ZERO
+    assert cost(ex1, PaymentPromise.make(ex1, [None] * ex1.n_players)) == ZERO
     assert cost(ex1, None) == ZERO
 
 
@@ -149,7 +149,7 @@ def test_cost_is_the_largest_payment_total_over_the_undominated_region(seed, gra
     promise = random_promise(rng, game)
     view = ModifiedGameView(game, promise)
     expected = max(
-        sum((view.promise_at(i, o) for i in range(game.n_players)), ZERO)
+        sum((promise.value(i, game.key_at(i, o)) for i in range(game.n_players)), ZERO)
         for o in undominated_region(view).profiles()
     )
     assert cost(game, promise) == expected

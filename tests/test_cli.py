@@ -403,6 +403,17 @@ def test_bad_inputs_exit_quickly_with_one_line_error(tmp_path, ex1):
     assert "malformed rational" in proc.stderr.decode()
 
 
+def test_gen_x3c_force_no_refuses_a_large_cover_search():
+    # one draw at n_hat = 12 would search C(36, 12) subsets for a cover
+    with time_limit(5, "gen x3c --n 12 --force no"):
+        proc = _run_cli("gen", "x3c", "--n", "12", "--seed", "1", "--force", "no")
+    _assert_one_line_error(proc)
+    assert " 1251677700 " in proc.stderr.decode()
+    for n_hat in ("2", "3"):
+        result = run(["gen", "x3c", "--n", n_hat, "--seed", "1", "--force", "no"])
+        assert result.status == "yes"
+
+
 def test_decode_rejects_a_graphical_document_for_normal_kinds(tmp_path):
     names = ["v:a", "v:b", "c:a:1", "c:a:2", "c:a:3", "c:b:1", "c:b:2", "c:b:3"]
     document = {

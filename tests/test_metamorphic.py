@@ -41,7 +41,8 @@ def _instance(seed):
 def _remake(game, utility):
     """The game's players and strategies with utility(i, profile) as the
     utility of player i at each profile."""
-    tables = [{p: utility(i, p) for p in game.profiles()} for i in range(game.n_players)]
+    profiles = list(RectRegion.full(game).profiles())
+    tables = [{p: utility(i, p) for p in profiles} for i in range(game.n_players)]
     return Game.make(game.players, game.strategies, tables)
 
 
@@ -59,7 +60,7 @@ def test_adding_a_function_of_the_opponents_changes_nothing(seed):
     # u_i(x, o_-i) - u_i(o) does not see g_i(o_-i)
     rng, game, region = _instance(seed)
     shifts = [
-        {p[:i] + p[i + 1 :]: rng.choice(SHIFTS) for p in game.profiles()}
+        {p[:i] + p[i + 1 :]: rng.choice(SHIFTS) for p in RectRegion.full(game).profiles()}
         for i in range(game.n_players)
     ]
     shifted = _remake(game, lambda i, p: _value(game, i, p) + shifts[i][p[:i] + p[i + 1 :]])
@@ -112,7 +113,7 @@ def test_relabeling_players_keeps_delta_and_the_verified_cost(seed):
     relabeled = Game.make(
         [game.players[j] for j in order],
         [game.strategies[j] for j in order],
-        [{new(p): _value(game, j, p) for p in game.profiles()} for j in order],
+        [{new(p): _value(game, j, p) for p in RectRegion.full(game).profiles()} for j in order],
     )
     before, after = min_budget_solve(game, region), min_budget_solve(relabeled, moved(region))
     assert after.delta == before.delta
@@ -168,7 +169,7 @@ def _verify_case(seed):
 def test_verify_does_not_see_a_function_of_the_opponents(seed):
     rng, game, region, promise, budget, mode = _verify_case(seed)
     shifts = [
-        {p[:i] + p[i + 1 :]: rng.choice(SHIFTS) for p in game.profiles()}
+        {p[:i] + p[i + 1 :]: rng.choice(SHIFTS) for p in RectRegion.full(game).profiles()}
         for i in range(game.n_players)
     ]
     shifted = _remake(game, lambda i, p: _value(game, i, p) + shifts[i][p[:i] + p[i + 1 :]])

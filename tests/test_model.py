@@ -132,14 +132,15 @@ def test_promise_rejects_negative_values():
 
 def test_modified_utility_examples(ex1, ex1_promise):
     view = ModifiedGameView(ex1, ex1_promise)
-    assert view.modified_utility(0, (0, 0)) == ExtValue(2)  # 1 + 1
-    assert view.modified_utility(1, (0, 0)) == ExtValue("11/10")
+    assert view.payoff(0, 0, (0,)) == ExtValue(2)  # 1 + 1
+    assert view.payoff(1, 0, (0,)) == ExtValue("11/10")
     plain = ModifiedGameView(ex1)
-    for profile in ex1.profiles():
+    for profile in RectRegion.full(ex1).profiles():
         for i in range(2):
-            assert plain.modified_utility(i, profile) == ex1.utility(i, profile)
+            opp = profile[:i] + profile[i + 1 :]
+            assert plain.payoff(i, profile[i], opp) == ex1.utility(i, profile)
     spiked = PaymentPromise.make(ex1, [{(2, 1): "inf"}, {}])
-    assert ModifiedGameView(ex1, spiked).modified_utility(0, (2, 1)) == INF
+    assert ModifiedGameView(ex1, spiked).payoff(0, 2, (1,)) == INF
 
 
 def test_promise_kind_must_match_game(ex1):
@@ -163,9 +164,9 @@ def test_graphical_game_validation():
         [{(0, 1, 0): 3}, {(1, 0): 2}, {(0, 1): 1}],
     )
     assert gg.neighborhoods == ((1, 2), (0,), (0,))
-    assert gg.degree() == 2
+    assert max(map(len, gg.neighborhoods)) == 2
     # local key of player 0 is (own, ngb 1, ngb 2)
-    assert gg.local_utility(0, (0, 1, 0)) == ExtValue(3)
+    assert gg.utility(0, (0, 1, 0)) == ExtValue(3)
     with pytest.raises(ValueError):
         GraphicalGame.make(["p1", "p2"], [["a"], ["b"]], [(0, 1)], [{(0, 0, 0): 1}, {}])
 
@@ -203,9 +204,9 @@ def test_expand_projection_property():
             gg_tables.append(table)
         gg = GraphicalGame.make(tmp.players, tmp.strategies, edges, gg_tables)
         game = expand_graphical(gg)
-        for profile in game.profiles():
+        for profile in RectRegion.full(game).profiles():
             for i in range(n):
-                assert game.utility(i, profile) == gg.local_utility(i, gg.local_key(i, profile))
+                assert game.utility(i, profile) == gg.utility(i, gg.key_at(i, profile))
                 # any profile agreeing on {i} u ngb(i) gets the same utility
                 twiddled = list(profile)
                 for j in range(n):
@@ -224,9 +225,9 @@ def test_expand_graphical_promise_matches_local_payments():
     promise = PaymentPromise.make(gg, [{(0, 1): "1/2"}, {}, {(1,): "inf"}])
     flat = expand_graphical_promise(gg, promise)
     assert flat.kind == "normal"
-    for profile in gg.profiles():
+    for profile in RectRegion.full(gg).profiles():
         for i in range(3):
-            assert flat.value(i, profile) == promise.value(i, gg.local_key(i, profile))
+            assert flat.value(i, profile) == promise.value(i, gg.key_at(i, profile))
 
 
 def test_random_games_round_trip_equality():

@@ -9,6 +9,7 @@ from gimpl import (
     ExtValue,
     ModifiedGameView,
     PaymentPromise,
+    RectRegion,
     expand_graphical,
     undominated,
     verify,
@@ -164,7 +165,7 @@ def test_two_player_decoder_rejects_all_zero_promise():
     inst = gen_x3c(1, 0)
     game, _, _ = x3c_to_two_player(inst)
     with pytest.raises(ValueError, match="does not implement"):
-        decode_cover_2p(game, PaymentPromise.empty(game))
+        decode_cover_2p(game, PaymentPromise.make(game, [None] * game.n_players))
 
 
 def test_two_player_forward_rejects_invalid_cover():
@@ -202,12 +203,12 @@ def test_graphical_encoding_shape():
     gg, region, budget = x3c_to_graphical(inst)
     assert budget == ExtValue("1/2")
     assert gg.n_players == 6
-    assert gg.degree() == 3
+    assert max(map(len, gg.neighborhoods)) == 3
     assert all(len(gg.neighborhoods[i]) == 3 for i in range(3))
     # F pays 1 when all three sets play T
-    assert gg.local_utility(0, (1, 0, 0, 0)) == ExtValue(1)
-    assert gg.local_utility(0, (1, 1, 1, 1)) == ExtValue(1)
-    assert gg.local_utility(0, (1, 0, 1, 1)) == ZERO  # exactly one T
+    assert gg.utility(0, (1, 0, 0, 0)) == ExtValue(1)
+    assert gg.utility(0, (1, 1, 1, 1)) == ExtValue(1)
+    assert gg.utility(0, (1, 0, 1, 1)) == ZERO  # exactly one T
     # set players earn nothing anywhere
     assert all(not gg.local_utilities[3 + j] for j in range(3))
     assert region.sets[:3] == ((0,), (0,), (0,))
@@ -221,7 +222,7 @@ def test_graphical_expansion_of_forced_instance():
     gg, _, _ = x3c_to_graphical(inst)
     game = expand_graphical(gg)
     assert game.sizes == (2,) * 6
-    profiles = list(game.profiles())
+    profiles = list(RectRegion.full(game).profiles())
     assert len(profiles) == 64
     paying = {
         (p[3], p[4], p[5])
@@ -335,7 +336,7 @@ def test_coloring_decoder_rejects_all_zero_promise():
     k3 = complete_graph(3)
     game, _, _ = coloring_to_exact(k3)
     with pytest.raises(ValueError, match="does not exactly implement"):
-        decode_coloring(game, PaymentPromise.empty(game))
+        decode_coloring(game, PaymentPromise.make(game, [None] * game.n_players))
 
 
 def test_brute_coloring_basics():

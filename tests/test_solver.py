@@ -27,7 +27,6 @@ from gimpl import (
     serialize_instance,
     solve_exact,
     verify,
-    zero_cost_promise,
 )
 
 from _support import random_equitable_instance, random_game, random_region, time_limit
@@ -80,7 +79,7 @@ def test_solver_counterexample_game(ce1, ce1_region):
 def test_solver_full_region_returns_zero(ex1):
     result = min_budget_solve(ex1, RectRegion.full(ex1))
     assert result.delta == ZERO
-    assert result.promise.is_zero()
+    assert not any(result.promise.entries)
 
 
 def test_solver_refuses_oversized_assignment_spaces():
@@ -263,7 +262,7 @@ def test_off_region_payments_refuse_a_wide_opponent_space_first(tmp_path):
     game = Game.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [{}] * n)
     region = RectRegion.make([[0]] * n)
     message = "player 0 has 131072 opponent profiles, above the 65536 cap on off-region payments"
-    for step in (min_budget_solve, pne_promise, zero_cost_promise):
+    for step in (min_budget_solve, pne_promise):
         with time_limit(5, step.__name__), pytest.raises(ValueError) as refusal:
             step(game, region)
         assert str(refusal.value) == message
@@ -301,7 +300,7 @@ def test_exactify_rejects_non_equitable(ex1, ex1_region):
 def test_exactify_rejects_full_region(ex1):
     full = RectRegion.full(ex1)
     with pytest.raises(ValueError, match="not equitable"):
-        exactify(ex1, full, PaymentPromise.empty(ex1))
+        exactify(ex1, full, PaymentPromise.make(ex1, [None] * ex1.n_players))
 
 
 def test_exactify_rejects_graphical_promise():
@@ -310,7 +309,7 @@ def test_exactify_rejects_graphical_promise():
     assert is_equitable(game, region)[0]
     graphical = GraphicalGame.make(game.players, game.strategies, [(0, 1)], [{}, {}])
     with pytest.raises(ValueError, match="promise"):
-        exactify(game, region, PaymentPromise.empty(graphical))
+        exactify(game, region, PaymentPromise.make(graphical, [None] * graphical.n_players))
 
 
 def test_exactify_rejects_infinite_promise_on_region():
@@ -329,7 +328,7 @@ def test_exactify_rejects_non_implementing_promise():
         if not verify(game, None, region, INF, "subset").holds:
             break
     with pytest.raises(ValueError, match="does not implement"):
-        exactify(game, region, PaymentPromise.empty(game))
+        exactify(game, region, PaymentPromise.make(game, [None] * game.n_players))
 
 
 def test_solve_exact_on_random_equitable_instances():
@@ -372,34 +371,31 @@ def test_is_pne_witness_assignments(ce1):
 
 def test_zero_cost_promise_examples(ce1):
     region = RectRegion.make([[0], [0]])
-    promise = zero_cost_promise(ce1, region)
+    promise = pne_promise(ce1, region)[1]
     assert promise.entries[0] == {(0, 1): INF}
     assert promise.entries[1] == {(1, 0): INF}
     report = verify(ce1, promise, region, ZERO, "subset")
     assert report.holds
     assert report.undominated_region == region
 
-    full = zero_cost_promise(ce1, RectRegion.full(ce1))
-    assert full.is_zero()
-
-    with pytest.raises(ValueError, match="not a promise-Nash equilibrium"):
-        zero_cost_promise(ce1, RectRegion.make([[1], [1]]))
+    full = pne_promise(ce1, RectRegion.full(ce1))[1]
+    assert not any(full.entries)
 
     # a stable region verify could not price is refused, as solve refuses it
     bare = Game.make(["a", "b"], [[f"s{k}" for k in range(300)]] * 2, [{}, {}])
     with pytest.raises(ValueError) as refused:
-        zero_cost_promise(bare, RectRegion.full(bare))
+        pne_promise(bare, RectRegion.full(bare))
     assert str(refused.value) == "desired region has 90000 profiles, above the 65536 cap"
 
 
 def test_pne_promise_pairs_the_check_with_the_free_promise(ce1):
-    # one stability check gives the report and, on a yes, zero_cost_promise's promise
+    # one stability check gives the report and, on a yes, the free promise
     for sets in ([[0], [0]], [[0, 1], [0, 1]], [[1], [1]]):
         region = RectRegion.make(sets)
         report, promise = pne_promise(ce1, region)
         assert report == is_pne(ce1, region)
         if report.holds:
-            assert promise == zero_cost_promise(ce1, region)
+            assert promise == pne_promise(ce1, region)[1]
         else:
             assert promise is None
 
@@ -464,7 +460,7 @@ def test_zero_cost_promise_on_graphical_game():
     )
     region = RectRegion.make([[0], [0], [0]])
     assert is_pne(gg, region).holds
-    promise = zero_cost_promise(gg, region)
+    promise = pne_promise(gg, region)[1]
     assert promise.kind == "graphical"
     report = verify(gg, promise, region, ZERO, "subset")
     assert report.holds and report.cost == ZERO

@@ -29,8 +29,8 @@ from gimpl import (
     expand_graphical_promise,
     is_pne,
     min_budget_solve,
+    pne_promise,
     undominated,
-    zero_cost_promise,
 )
 from gimpl.model import MAX_PAYOFFS, _canonical_table, _check_profile
 from gimpl.oracle import _dominates_by_definition
@@ -76,9 +76,9 @@ def _random_normal(rng, values):
 def _per_profile(gg, local_tables):
     """Each full profile looks its local key up, one profile at a time."""
     tables = [{} for _ in local_tables]
-    for profile in gg.profiles():
+    for profile in RectRegion.full(gg).profiles():
         for i, local in enumerate(local_tables):
-            key = gg.local_key(i, profile)
+            key = gg.key_at(i, profile)
             if key in local:
                 tables[i][profile] = local[key]
     return tables
@@ -118,7 +118,7 @@ def test_solver_promises_equal_their_make():
         _assert_canonical(game, min_budget_solve(game, region).promise)
         if is_pne(game, region).holds:
             stable += 1
-            _assert_canonical(game, zero_cost_promise(game, region))
+            _assert_canonical(game, pne_promise(game, region)[1])
     assert stable > 10
     for n_hat in (1, 2):
         gg, region, _ = x3c_to_graphical(gen_x3c(n_hat, 0, "yes"))

@@ -1,15 +1,22 @@
 """The benchmark's tracer (``bench/tracing.py``) wraps gimpl functions by
 name and reads some of their arguments by position. A rename or a deleted
 function would make its metrics absent, so the names it needs are checked
-here, reading the tracer as it is."""
+here, reading the tracer as it is, and one traced round of each workload
+must end with a correct result."""
 
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from gimpl import solver
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACING = _BENCH / "tracing.py"
 
 
 def _tracing_module():
@@ -34,3 +41,17 @@ def test_scan_assignments_keeps_its_positional_bounds():
     assert [p.name for p in leading] == ["game", "region", "start", "stop"]
     positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
     assert all(p.kind in positional for p in leading)
+
+
+@pytest.mark.parametrize("workload", ["scan", "sweep", "cli"])
+def test_traced_run_ends_with_a_correct_result(workload):
+    # one traced round per workload, as the per-layer benchmark runs it
+    proc = subprocess.run(
+        [sys.executable, str(_BENCH / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert "absent:" not in proc.stderr
