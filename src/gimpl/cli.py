@@ -199,9 +199,12 @@ def _pick_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("GIMPL_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValueError(f"GIMPL_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_gen_x3c(args) -> CommandResult:

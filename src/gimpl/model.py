@@ -6,11 +6,11 @@ player order. Utility and promise tables are sparse dicts with an implicit
 default of 0, since the interesting constructions set only finitely many
 nonzero entries.
 
-Each game owns its key layout: which table holds the utilities and how a
-(player, strategy, opponents) triple becomes a key. A normal-form key is the
-full profile; a graphical key is ``(own strategy, *neighbor strategies)``.
-Promises, views and the instance writer read that layout instead of asking
-which kind of game they hold.
+The two kinds of game differ in one fact, their key layout: per player, the
+players whose choices make up its table key, in key order (normal form: every
+player in order, so a key is the full profile; graphical: the player, then its
+neighbors in ascending order). Key sizes, opponents and keys derive from it, so
+promises and views read it instead of asking which kind of game they hold.
 
 All objects here are immutable after construction; build them through the
 ``make`` classmethods, which canonicalize (zero entries dropped, index sets
@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .values import ZERO, ExtValue, ValueLike
 
@@ -142,21 +142,27 @@ def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
     return opp[:player] + (strategy,) + opp[player:]
 
 
+class _KeyLayout(NamedTuple):
+    """What a game derives, once per player, from that player's key players."""
+
+    own: int  # position of the player's own strategy in its key
+    opponents: tuple[int, ...]  # the key players other than the player, in key order
+    at: Callable[[Profile], tuple[int, ...]]  # the key a full profile selects
+
+
 @dataclass(frozen=True)
 class _GameBase:
     """What normal-form and graphical games share: players, strategies and
     the key layout of their per-player tables.
 
     Subclasses set ``kind`` and provide ``tables`` (one sparse utility table
-    per player), ``key_sizes(i)`` (the index range of each key position),
-    ``opponents(i)`` (the players whose choices enter player i's keys),
-    ``key_of(i, s, opp)`` (the key of strategy s against the joint choice
-    ``opp`` of those players), ``keys(i, s, region=None)`` (the keys of s
-    against every such joint choice, optionally restricted to a region, in
-    ``ModifiedGameView.opponent_profiles`` order: the same keys as
-    ``key_of`` over those choices, built in one ``itertools.product``) and
-    ``key_at(i, profile)`` (the key that a full profile selects). Both kinds
-    read a table entry through ``utility(i, key)``.
+    per player) and the one fact of their layout, ``key_players[i]``: the
+    players whose choices make up player i's table key, in key order, i
+    among them. All else derives from it: ``key_sizes(i)``, ``opponents(i)``
+    (the key players but i), ``key_of(i, s, opp)`` (the key of s against
+    their joint choice ``opp``), ``opponent_profiles(i, region=None)`` (all
+    such choices, in ``itertools.product`` order), ``keys(i, s, region=None)``
+    (``key_of`` over them, in one product) and ``key_at(i, profile)``.
     """
 
     kind: ClassVar[str]
@@ -170,6 +176,44 @@ class _GameBase:
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strategies)
+
+    @cached_property
+    def _layout(self) -> tuple[_KeyLayout, ...]:
+        layouts = []
+        for i, players in enumerate(self.key_players):
+            if len(players) > 1:
+                at = operator.itemgetter(*players)
+            else:
+                at = operator.itemgetter(slice(i, i + 1))  # a 1-tuple, not an int
+            opponents = tuple(j for j in players if j != i)
+            layouts.append(_KeyLayout(players.index(i), opponents, at))
+        return tuple(layouts)
+
+    def key_sizes(self, player: int) -> tuple[int, ...]:
+        return tuple(map(self.sizes.__getitem__, self.key_players[player]))
+
+    def opponents(self, player: int) -> tuple[int, ...]:
+        return self._layout[player].opponents
+
+    def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> tuple[int, ...]:
+        own = self._layout[player].own
+        return opp[:own] + (strategy,) + opp[own:]
+
+    def opponent_profiles(
+        self, player: int, region: RectRegion | None = None
+    ) -> Iterator[tuple[int, ...]]:
+        sets = tuple(map(range, self.sizes)) if region is None else region.sets
+        return itertools.product(*map(sets.__getitem__, self._layout[player].opponents))
+
+    def keys(
+        self, player: int, strategy: int, region: RectRegion | None = None
+    ) -> Iterator[tuple[int, ...]]:
+        sets = list(map(range, self.sizes) if region is None else region.sets)
+        sets[player] = (strategy,)
+        return itertools.product(*map(sets.__getitem__, self.key_players[player]))
+
+    def key_at(self, player: int, profile: Profile) -> tuple[int, ...]:
+        return self._layout[player].at(profile)
 
     def utility(self, player: int, key: tuple[int, ...]) -> ExtValue:
         return self.tables[player].get(key, ZERO)
@@ -218,25 +262,10 @@ class Game(_GameBase):
     def tables(self) -> tuple[dict[Profile, ExtValue], ...]:
         return self.utilities
 
-    def key_sizes(self, player: int) -> tuple[int, ...]:
-        return self.sizes
-
-    def opponents(self, player: int) -> tuple[int, ...]:
-        """Every other player, in ascending order."""
-        return tuple(j for j in range(self.n_players) if j != player)
-
-    def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> Profile:
-        return _embed(opp, player, strategy)
-
-    def keys(
-        self, player: int, strategy: int, region: RectRegion | None = None
-    ) -> Iterator[Profile]:
-        axes = list(region.sets) if region is not None else [range(n) for n in self.sizes]
-        axes[player] = (strategy,)
-        return itertools.product(*axes)
-
-    def key_at(self, player: int, profile: Profile) -> Profile:
-        return profile
+    @cached_property
+    def key_players(self) -> tuple[tuple[int, ...], ...]:
+        """Every player, in order: a key is the full profile."""
+        return (tuple(range(self.n_players)),) * self.n_players
 
 
 @dataclass(frozen=True)
@@ -298,30 +327,10 @@ class GraphicalGame(_GameBase):
     def tables(self) -> tuple[dict[LocalKey, ExtValue], ...]:
         return self.local_utilities
 
-    def key_sizes(self, player: int) -> tuple[int, ...]:
-        sizes = self.sizes
-        return (sizes[player],) + tuple(sizes[j] for j in self.neighborhoods[player])
-
-    def opponents(self, player: int) -> tuple[int, ...]:
-        """The neighbors of ``player``, in ascending order."""
-        return self.neighborhoods[player]
-
-    def key_of(self, player: int, strategy: int, opp: tuple[int, ...]) -> LocalKey:
-        return (strategy,) + opp
-
-    def keys(
-        self, player: int, strategy: int, region: RectRegion | None = None
-    ) -> Iterator[LocalKey]:
-        return itertools.product(
-            (strategy,),
-            *(
-                region.sets[j] if region is not None else range(self.sizes[j])
-                for j in self.neighborhoods[player]
-            ),
-        )
-
-    def key_at(self, player: int, profile: Profile) -> LocalKey:
-        return (profile[player],) + tuple(profile[j] for j in self.neighborhoods[player])
+    @cached_property
+    def key_players(self) -> tuple[tuple[int, ...], ...]:
+        """The player first, then its neighbors in ascending order."""
+        return tuple((i, *js) for i, js in enumerate(self.neighborhoods))
 
 
 AnyGame = Union[Game, GraphicalGame]
@@ -432,16 +441,6 @@ class ModifiedGameView:
     def sizes(self) -> tuple[int, ...]:
         return self.game.sizes
 
-    def opponent_profiles(
-        self, player: int, region: RectRegion | None = None
-    ) -> Iterator[tuple[int, ...]]:
-        """All joint choices of the players whose choices matter to ``player``
-        (``game.opponents``), optionally restricted to a region."""
-        axes = []
-        for j in self.game.opponents(player):
-            axes.append(region.sets[j] if region is not None else range(self.sizes[j]))
-        return itertools.product(*axes)
-
     def payoff(self, player: int, strategy: int, opp: tuple[int, ...]) -> ExtValue:
         """Modified utility of ``player`` for ``strategy`` against ``opp``."""
         key = self.game.key_of(player, strategy, opp)
@@ -453,7 +452,7 @@ class ModifiedGameView:
 
     def columns(self, player: int) -> list[list[int]]:
         """Per strategy of ``player``, its payoffs against every joint choice
-        of ``opponent_profiles(player)``, each as the rank of its value among
+        of ``game.opponent_profiles(player)``, each as the rank of its value among
         the distinct payoffs (infinity highest, 0 for unset keys), so that
         the ints order as the payoffs do.
 
@@ -510,7 +509,7 @@ def _flatten(
 ) -> tuple[dict[Profile, ExtValue], ...]:
     """Canonical neighborhood-local tables rewritten over full strategy
     profiles: each local entry is fanned out over the strategies of the
-    players outside that player's neighborhood.
+    players outside its key.
 
     The rewrite is exponential in the number of players, so games with more
     than ``MAX_PROFILES`` full profiles are refused before any enumeration.
@@ -522,19 +521,14 @@ def _flatten(
             f"{MAX_PROFILES} expansion cap"
         )
     tables = []
-    for i, local in enumerate(local_tables):
-        inside = (i, *gg.neighborhoods[i])
-        outside = tuple(j for j in range(gg.n_players) if j not in inside)
-        # a local key followed by an outside part, reordered into a profile
-        # (one player: the local key is the profile)
-        order = inside + outside
-        place = operator.itemgetter(*map(order.index, range(len(order))))
-        if len(order) == 1:
-            place = tuple
-        rests = list(itertools.product(*(range(gg.sizes[j]) for j in outside)))
+    for players, local in zip(gg.key_players, local_tables):
+        # the profiles of a local key: its players fixed, every other one free
+        axes: list[Sequence[int]] = [range(n) for n in gg.sizes]
         table: dict[Profile, ExtValue] = {}
         for key, value in local.items():
-            table.update(dict.fromkeys(map(place, map(key.__add__, rests)), value))
+            for j, s in zip(players, key):
+                axes[j] = (s,)
+            table.update(dict.fromkeys(itertools.product(*axes), value))
         tables.append(table)
     return tuple(tables)
 

@@ -67,7 +67,7 @@ def _dominates_by_definition(view: ModifiedGameView, player: int, x: int, y: int
     """Whether x is never worse than y against any opponent choice and
     strictly better against one, read payoff by payoff."""
     strict = False
-    for opp in view.opponent_profiles(player):
+    for opp in view.game.opponent_profiles(player):
         px, py = view.payoff(player, x, opp), view.payoff(player, y, opp)
         if px < py:
             return False
@@ -118,8 +118,10 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
     For each assignment the promise is rebuilt from the raw formula, every
     undesired strategy is re-checked to be dominated by its assigned desired
     strategy, and the worst-case payment over the desired region is re-summed
-    directly. Raises if any assignment fails its domination check, which
-    would signal an implementation bug. Assignment spaces above
+    directly. Raises if an assignment fails its domination check. That
+    happens when no opponent profile leaves the region (only one player has
+    undesired strategies, or the game has one player): nothing then breaks a
+    tie between a strategy and its assigned dominator. Assignment spaces above
     ``MAX_MAPPINGS`` and players with more than ``MAX_PROFILES`` opponent
     profiles are refused before any promise is built.
     """
@@ -148,8 +150,8 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
             for x, t in zip(domains[i], targets[i]):
                 if not _dominates_by_definition(view, i, t, x):
                     raise ValueError(
-                        f"assignment {t}<-{x} for player {i} fails its domination "
-                        "check; this signals an implementation bug"
+                        f"assignment {t}<-{x} for player {i} fails its domination check: the "
+                        "two tie, and no opponent profile leaves the region to break the tie"
                     )
         worst = ZERO
         for profile in region.profiles():

@@ -500,7 +500,7 @@ def is_pne(game: "AnyGame | ModifiedGameView", region: RectRegion) -> PneReport:
             for p in region.sets[i]:
                 if all(
                     view.payoff(i, x, opp) <= view.payoff(i, p, opp)
-                    for opp in view.opponent_profiles(i, region)
+                    for opp in view.game.opponent_profiles(i, region)
                 ):
                     counter = p
                     break

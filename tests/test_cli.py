@@ -10,6 +10,7 @@ import pytest
 
 from gimpl import (
     ExtValue,
+    Game,
     GraphicalGame,
     InstanceDoc,
     PaymentPromise,
@@ -288,6 +289,12 @@ def test_gen_seed_env_override(monkeypatch):
     assert with_env.payload != other.payload
 
 
+def test_gen_seed_env_names_itself_when_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("GIMPL_SEED", "abc")
+    assert _main(monkeypatch, "gen", "x3c", "--n", "1") == 1
+    assert capsys.readouterr().err == "gimpl: GIMPL_SEED must be an integer, got 'abc'\n"
+
+
 def test_gen_coloring_and_decode(tmp_path):
     edges = tmp_path / "k3.txt"
     edges.write_text("x y\ny z\nx z\n", encoding="utf-8")
@@ -412,6 +419,19 @@ def test_gen_x3c_force_no_refuses_a_large_cover_search():
     for n_hat in ("2", "3"):
         result = run(["gen", "x3c", "--n", n_hat, "--seed", "1", "--force", "no"])
         assert result.status == "yes"
+
+
+def test_oracle_names_the_tie_no_off_region_profile_can_break(tmp_path):
+    # only player 1 may play anything, so no opponent of player 0 leaves the
+    # region and nothing tells y apart from x
+    game = Game.make(["a", "b"], [["x", "y"], ["u", "v"]], [{}, {}])
+    region = RectRegion.make([[0], [0, 1]])
+    proc = _run_cli("oracle", _write(tmp_path, "shy.json", InstanceDoc(game=game, region=region)))
+    _assert_one_line_error(proc)
+    assert proc.stderr.decode() == (
+        "gimpl: assignment 0<-1 for player 0 fails its domination check: the two tie, "
+        "and no opponent profile leaves the region to break the tie\n"
+    )
 
 
 def test_decode_rejects_a_graphical_document_for_normal_kinds(tmp_path):

@@ -102,7 +102,7 @@ def test_witnesses_reverify_by_exhaustive_scan():
         view = ModifiedGameView(game)
         for i in range(game.n_players):
             for x, y in itertools.permutations(range(game.sizes[i]), 2):
-                opponents = list(view.opponent_profiles(i))
+                opponents = list(game.opponent_profiles(i))
                 never_worse = all(
                     view.payoff(i, x, opp) >= view.payoff(i, y, opp)
                     for opp in opponents
@@ -167,7 +167,7 @@ def test_rank_columns_order_as_the_payoffs(seed, graphical):
     view = ModifiedGameView(game, random_promise(rng, game))
     for i in range(game.n_players):
         columns = view.columns(i)
-        for k, opp in enumerate(view.opponent_profiles(i)):
+        for k, opp in enumerate(game.opponent_profiles(i)):
             for x, y in itertools.product(range(game.sizes[i]), repeat=2):
                 payoffs = _order(view.payoff(i, x, opp), view.payoff(i, y, opp))
                 assert _order(columns[x][k], columns[y][k]) == payoffs

@@ -14,7 +14,11 @@ graphical n = 2 document, whose promise has 36,336 entries.
 ``EXACTIFY_GOLDEN`` pins ``solve_exact`` in-process on 200 seeded instances,
 equitable two-player ones alternating with 2- and 3-player games on sweep-like
 regions: per instance its delta, mapping and sorted promise entries, or its
-refusal message.
+refusal message. ``LAYOUT_GOLDEN`` pins the library calls that read a game's
+key layout, in-process on 200 seeded games, normal-form ones alternating with
+graphical ones, each with a sampled promise: ``undominated_region``,
+``verify`` in both modes, ``is_pne``, ``pne_promise`` and, on normal-form
+games, ``min_budget_solve``.
 
 The digests hash the standard library's rendering of each payload. Two more
 tests tie what the program writes to that rendering: ``gimpl.cli.main``'s
@@ -35,18 +39,32 @@ from pathlib import Path
 import pytest
 
 from gimpl import (
+    ExtValue,
     Game,
     InstanceDoc,
+    ModifiedGameView,
     PaymentPromise,
     RectRegion,
+    is_pne,
+    min_budget_solve,
     parse_instance,
+    pne_promise,
     serialize_instance,
     solve_exact,
+    undominated_region,
+    verify,
 )
 from gimpl.cli import main, run
 from gimpl.instancefmt import instance_to_dict
 
-from _support import random_equitable_instance, random_game, random_region
+from _support import (
+    mixed_utility,
+    random_equitable_instance,
+    random_game,
+    random_graphical,
+    random_promise,
+    random_region,
+)
 
 COMMANDS = {
     "analyze": ["analyze"],
@@ -103,6 +121,10 @@ PATH_GOLDEN = {
 # recorded the same way before exactify's promise builder was rewritten
 EXACTIFY_GOLDEN = 'ee42ac473f9afb4b63881b20d4977495f6c49a93ccf2cce6ca327fbaee0c464d'
 EXACTIFY_SEED, EXACTIFY_COUNT = 1_500, 200
+# the key-layout calls on LAYOUT_COUNT games drawn from random.Random(LAYOUT_SEED);
+# recorded the same way before the key layout moved into one place per game kind
+LAYOUT_GOLDEN = 'a9facbad2c2f11b78329de5ee993ef6a6d0ab43d6968381f8092963277b1e64c'
+LAYOUT_SEED, LAYOUT_COUNT = 2_200, 200
 
 PATH_GEN = ["gen", "x3c", "--n", "2", "--seed", "0", "--force", "yes", "--target", "graphical"]
 
@@ -237,6 +259,54 @@ def exactify_digest() -> str:
     return h.hexdigest()
 
 
+def _entries(promise: PaymentPromise | None):
+    if promise is None:
+        return None
+    return [sorted((key, str(value)) for key, value in table.items()) for table in promise.entries]
+
+
+def layout_digest() -> str:
+    """sha256 over the key-layout calls on the seeded ``LAYOUT_COUNT`` games:
+    one line per game with the undominated region of the game under its
+    sampled promise, both ``verify`` reports, ``is_pne`` and ``pne_promise``
+    on that view, and ``min_budget_solve`` on normal-form games, each call's
+    refusal message in place of its result."""
+    rng = random.Random(LAYOUT_SEED)
+    budget = ExtValue(2)
+    h = hashlib.sha256()
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except ValueError as exc:
+            return f"refused: {exc}"
+
+    for k in range(LAYOUT_COUNT):
+        if k % 2:
+            game = random_graphical(rng, mixed_utility)
+        else:
+            game = random_game(rng, value=mixed_utility)
+        promise = random_promise(rng, game)
+        region = random_region(rng, game)
+        view = ModifiedGameView(game, promise)
+        parts = [undominated_region(view).sets]
+        for mode in ("subset", "exact"):
+            report = verify(game, promise, region, budget, mode)
+            star = report.undominated_region.sets
+            parts.append((report.holds, star, str(report.cost), report.violation))
+        parts.append(outcome(is_pne, view, region))
+        pne = outcome(pne_promise, view, region)
+        parts.append(pne if isinstance(pne, str) else (pne[0], _entries(pne[1])))
+        if game.kind == "normal":
+            solved = outcome(min_budget_solve, game, region)
+            if not isinstance(solved, str):
+                mapping, entries = solved.mapping, _entries(solved.promise)
+                solved = (str(solved.delta), mapping.domains, mapping.targets, entries)
+            parts.append(solved)
+        h.update(repr(parts).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_golden_output(tmp_path, instance, command):
@@ -254,6 +324,10 @@ def test_golden_path_output(tmp_path):
 
 def test_golden_exactify_output():
     assert exactify_digest() == EXACTIFY_GOLDEN
+
+
+def test_golden_layout_output():
+    assert layout_digest() == LAYOUT_GOLDEN
 
 
 ALL_CASES = sorted(GOLDEN) + [(instance, "solve") for instance in sorted(SEARCH_GOLDEN)]
@@ -291,3 +365,4 @@ if __name__ == "__main__":
         for command, value in path_digests(Path(scratch)).items():
             sys.stdout.write(f"    {command!r}: {value!r},\n")
     sys.stdout.write(f"EXACTIFY_GOLDEN = {exactify_digest()!r}\n")
+    sys.stdout.write(f"LAYOUT_GOLDEN = {layout_digest()!r}\n")

@@ -252,13 +252,23 @@ def test_keys_follow_key_of_over_the_opponent_profiles():
     rng = random.Random(1414)
     for _ in range(60):
         for game in _random_shapes(rng):
-            view = ModifiedGameView(game)
             region = RectRegion.make(
                 rng.sample(range(size), rng.randint(1, size)) for size in game.sizes
             )
             for i in range(game.n_players):
+                players = game.key_players[i]
+                if game.kind == "normal":
+                    assert players == tuple(range(game.n_players))
+                else:
+                    assert players == (i, *game.neighborhoods[i])
+                assert game.opponents(i) == tuple(j for j in players if j != i)
+                assert game.key_sizes(i) == tuple(game.sizes[j] for j in players)
+                for p in RectRegion.full(game).profiles():
+                    key = game.key_at(i, p)
+                    assert key == game.key_of(i, p[i], tuple(p[j] for j in game.opponents(i)))
+                    assert len(key) == len(game.key_sizes(i))
                 for s in range(game.sizes[i]):
                     for where in (None, region):
                         assert list(game.keys(i, s, where)) == [
-                            game.key_of(i, s, opp) for opp in view.opponent_profiles(i, where)
+                            game.key_of(i, s, opp) for opp in game.opponent_profiles(i, where)
                         ]

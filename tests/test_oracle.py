@@ -63,6 +63,26 @@ def test_oracle_agrees_with_solver_on_random_instances():
         assert solved.mapping in oracled.all_optimal_mappings
 
 
+@pytest.mark.parametrize(
+    "game, sets",
+    [
+        # two players, no utilities: only player 1 may play anything
+        (Game.make(["a", "b"], [["x", "y"], ["u", "v"]], [{}, {}]), [[0], [0, 1]]),
+        # one player: the payment of 1/2 on x ties it with y, and there is no opponent
+        (Game.make(["a"], [["x", "y"]], [{(1,): "1/2"}]), [[0]]),
+    ],
+    ids=["two-players", "one-player"],
+)
+def test_oracle_names_the_tie_no_opponent_can_break(game, sets):
+    message = (
+        "assignment 0<-1 for player 0 fails its domination check: the two tie, "
+        "and no opponent profile leaves the region to break the tie"
+    )
+    with pytest.raises(ValueError) as refusal:
+        oracle_min_budget(game, RectRegion.make(sets))
+    assert str(refusal.value) == message
+
+
 def test_zero_cost_oracle_examples(ce1):
     assert oracle_zero_cost(ce1, RectRegion.make([[0], [0]]))
     assert not oracle_zero_cost(ce1, RectRegion.make([[1], [1]]))
