@@ -195,10 +195,16 @@ def _read_document(doc: Any) -> InstanceDoc:
     for entry in raw_players:
         if not isinstance(entry, dict) or "name" not in entry or "strategies" not in entry:
             raise FormatError("each player needs a name and a strategy list")
-        if not isinstance(entry["strategies"], list) or not entry["strategies"]:
-            raise FormatError(f"player {entry.get('name')!r} has no strategies")
-        names.append(str(entry["name"]))
-        strategies.append([str(s) for s in entry["strategies"]])
+        name, options = entry["name"], entry["strategies"]
+        if not isinstance(name, str):
+            raise FormatError(f"player names must be strings, got {name!r}")
+        if not isinstance(options, list) or not options:
+            raise FormatError(f"player {name!r} has no strategies")
+        for option in options:
+            if not isinstance(option, str):
+                raise FormatError(f"strategies of player {name!r} must be strings, got {option!r}")
+        names.append(name)
+        strategies.append(options)
     n_players = len(names)
 
     raw_utilities = doc.get("utilities", [])

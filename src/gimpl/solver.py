@@ -19,9 +19,10 @@ every desired strategy a private off-region profile. The stability check
 passing it.
 
 Everything operates on normal-form games; expand graphical games first. The
-search and ``pne_promise`` refuse desired regions above
-``MAX_PROFILES`` (65,536) profiles before they list any, the same cap
-``verify`` and ``cost`` apply to the regions they sum payments over.
+search, ``compute_v``, ``exactify`` and ``pne_promise`` refuse desired
+regions above ``MAX_PROFILES`` (65,536) profiles before they list any, the
+same cap ``verify`` and ``cost`` apply to the regions they sum payments
+over.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .checking import _max_payment_over, verify
 from .model import (
@@ -99,44 +100,6 @@ def _require_normal(game: AnyGame) -> Game:
     return game
 
 
-# positions in the desired-profile list and the utility gap at each
-_Gaps = tuple[list[int], list[Fraction]]
-
-
-def _positions(desired_profiles: Sequence[Profile], player: int) -> dict[int, list[int]]:
-    """Per strategy of ``player``, the indices of the desired profiles that play it."""
-    positions: dict[int, list[int]] = {}
-    for idx, o in enumerate(desired_profiles):
-        positions.setdefault(o[player], []).append(idx)
-    return positions
-
-
-def _gaps(
-    game: Game,
-    player: int,
-    pairs: Iterable[tuple[int, int]],
-    desired_profiles: Sequence[Profile],
-    positions: Mapping[int, list[int]],
-) -> dict[tuple[int, int], _Gaps]:
-    """Utility gaps of ``player`` over the desired profiles.
-
-    For each pair ``(x, t)`` the result holds the indices of the desired
-    profiles ``o`` in which the player's own strategy is ``t`` and, at each,
-    the gap ``u_i(x, o_-i) - u_i(o)``.
-    """
-    utility = game.utilities[player].get
-    result: dict[tuple[int, int], _Gaps] = {}
-    for x, t in pairs:
-        at = positions[t]
-        values = []
-        for idx in at:
-            o = desired_profiles[idx]
-            x_profile = _embed(o[:player] + o[player + 1 :], player, x)
-            values.append((utility(x_profile, ZERO) - utility(o, ZERO)).fraction)
-        result[x, t] = at, values
-    return result
-
-
 def compute_v(
     game: Game,
     player: int,
@@ -148,69 +111,83 @@ def compute_v(
 
     For each desired profile the payment lifts the dominator to the best
     utility any of its assigned undesired strategies gets there, clamped at
-    zero; desired strategies with no assigned strategies cost nothing.
-    Returns a total table over the desired region. ``bench/tracing.py``
-    wraps it by name: remove it only with ROADMAP's program-side run
-    statistics item.
+    zero; desired strategies with no assigned strategies cost nothing. The
+    lift is the pointwise max of the chosen options' ``_payment_vectors``,
+    built with the assigned strategies as the player's only domain. Returns
+    a total table over the desired region. Assigned strategies must be
+    undesired and targets desired, and desired regions above
+    ``MAX_PROFILES`` profiles are refused before any profile is listed.
+    ``bench/tracing.py`` wraps it by name: remove it only with ROADMAP's
+    program-side run statistics item.
     """
     game = _require_normal(game)
     region.validate_for(game)
-    desired_i = set(region.sets[player])
+    _refuse_large_region(region)
+    targets = region.sets[player]
+    undesired = region.complement(game, player)
     for x, target in assignment.items():
-        if x in desired_i:
-            raise ValueError(f"strategy {x} of player {player} is desired, not in the domain")
-        if target not in desired_i:
+        if x not in undesired:
+            raise ValueError(f"strategy {x} of player {player} is not an undesired strategy")
+        if target not in targets:
             raise ValueError(f"target {target} of player {player} is not desired")
-    desired_profiles = list(region.profiles())
-    lift = [Fraction(0)] * len(desired_profiles)
-    positions = _positions(desired_profiles, player)
-    for at, values in _gaps(game, player, assignment.items(), desired_profiles, positions).values():
-        for idx, g in zip(at, values):
-            if lift[idx] < g:
-                lift[idx] = g
-    return {o: ExtValue(v) if v else ZERO for o, v in zip(desired_profiles, lift)}
+    domain = tuple(sorted(assignment))
+    domains = [domain if i == player else () for i in range(game.n_players)]
+    desired_profiles, per_player, scale, _ = _payment_vectors(game, region, domains)
+    options = per_player[player]
+    lift = [0] * len(desired_profiles)
+    for k, x in enumerate(domain):
+        lift = _pointwise_max(lift, options[k * len(targets) + targets.index(assignment[x])])
+    return {o: ExtValue(Fraction(v, scale)) if v else ZERO for o, v in zip(desired_profiles, lift)}
 
 
 def _payment_vectors(
     game: Game, region: RectRegion, domains: Sequence[tuple[int, ...]]
-) -> tuple[list[Profile], list[list[list[int]]], int, list[dict[int, list[int]]]]:
+) -> tuple[list[Profile], list[list[list[int]]], int, list[list[list[int]]]]:
     """Per player, one payment vector over the desired profiles for every
     (undesired, target) option, in ``itertools.product(domain, targets)``
-    order, the common scale of all vectors and, per player, the
-    ``_positions`` of the desired profiles.
+    order, the common scale of all vectors and, per player and target in
+    region order, the block of desired-profile indices where the player
+    plays that target.
 
-    An option's vector holds, at the profiles whose own strategy is the
-    target, the utility gap of the undesired strategy clamped at zero, and
-    zero elsewhere. Entries are ints: the gap times the scale, which is the
+    This is the one place a utility gap u_i(x, o_-i) - u_i(o) is computed.
+    An option's vector holds, at the profiles ``o`` of the target's block,
+    that gap of the undesired strategy ``x`` clamped at zero, and zero
+    elsewhere. Entries are ints: the gap times the scale, which is the
     least common multiple of the positive gaps' denominators.
     """
     desired_profiles = list(region.profiles())
-    positions = [_positions(desired_profiles, i) for i in range(game.n_players)]
-    per_player_gaps = [
-        _gaps(game, i, itertools.product(domains[i], sets), desired_profiles, positions[i])
-        for i, sets in enumerate(region.sets)
-    ]
+    blocks = []
+    positive = []  # per player and option: (index, gap) where the gap is positive
+    for i, targets in enumerate(region.sets):
+        where: dict[int, list[int]] = {t: [] for t in targets}
+        for idx, o in enumerate(desired_profiles):
+            where[o[i]].append(idx)
+        blocks.append([where[t] for t in targets])
+        utility = game.utilities[i].get
+        options = []
+        for x, block in itertools.product(domains[i], blocks[i]):
+            gaps = []
+            for idx in block:
+                o = desired_profiles[idx]
+                gap = (utility(_embed(o[:i] + o[i + 1 :], i, x), ZERO) - utility(o, ZERO)).fraction
+                if gap > 0:
+                    gaps.append((idx, gap))
+            options.append(gaps)
+        positive.append(options)
     scale = math.lcm(
-        *(
-            g.denominator
-            for gaps in per_player_gaps
-            for _, values in gaps.values()
-            for g in values
-            if g > 0
-        )
+        *(gap.denominator for options in positive for gaps in options for _, gap in gaps)
     )
     zero = [0] * len(desired_profiles)
     per_player = []
-    for gaps in per_player_gaps:
-        options = []
-        for at, values in gaps.values():
+    for options in positive:
+        vectors = []
+        for gaps in options:
             vec = zero.copy()
-            for idx, g in zip(at, values):
-                if g > 0:
-                    vec[idx] = g.numerator * (scale // g.denominator)
-            options.append(vec)
-        per_player.append(options)
-    return desired_profiles, per_player, scale, positions
+            for idx, gap in gaps:
+                vec[idx] = gap.numerator * (scale // gap.denominator)
+            vectors.append(vec)
+        per_player.append(vectors)
+    return desired_profiles, per_player, scale, blocks
 
 
 def _pointwise_max(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -245,15 +222,13 @@ def _scan_assignments(
     program-side run statistics item.
     """
     domains = [region.complement(game, i) for i in range(game.n_players)]
-    desired_profiles, per_player, scale, positions = _payment_vectors(game, region, domains)
+    desired_profiles, per_player, scale, blocks = _payment_vectors(game, region, domains)
     n = game.n_players
     zero = [0] * len(desired_profiles)
     slots = []  # per player and undesired strategy: its option vectors by target
-    blocks = []  # per player and target: the desired profiles where the player plays it
     for i, options in enumerate(per_player):
         width = len(region.sets[i])
         slots.append([options[k : k + width] for k in range(0, len(options), width)])
-        blocks.append([positions[i][t] for t in region.sets[i]])
     picks = [[0] * len(domains[i]) for i in range(n)]
 
     def payments(i: int) -> list[int]:
@@ -428,12 +403,14 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
     raising the worst-case payment over the desired region.
 
     Requires an equitable region shape and a promise that implements the
-    region with finite payments on it.
+    region with finite payments on it. Desired regions above
+    ``MAX_PROFILES`` profiles are refused before the promise is priced.
     """
     game = _require_normal(game)
     equitable, margins = is_equitable(game, region)
     if not equitable:
         raise ValueError(f"not equitable: per-player margins {margins}")
+    _refuse_large_region(region)
     delta = _max_payment_over(ModifiedGameView(game, promise), region)
     if not delta.is_finite:
         raise ValueError("promise is infinite on the desired region")

@@ -128,6 +128,22 @@ def test_malformed_documents():
     ]:
         with pytest.raises(FormatError, match=message):
             parse_instance(json.dumps(dict(EX1_DOCUMENT, region={"sets": sets})))
+    # player and strategy names are JSON strings, never converted with str()
+    named = EX1_DOCUMENT["players"]
+    for players, message in [
+        ([dict(named[0], name=5), named[1]], "player names must be strings, got 5"),
+        ([dict(named[0], name=None), named[1]], "player names must be strings, got None"),
+        (
+            [named[0], dict(named[1], strategies=[None, {"a": 1}, 1.5])],
+            "strategies of player 'p2' must be strings, got None",
+        ),
+        (
+            [dict(named[0], strategies=["s1", 1.5, "s3"]), named[1]],
+            "strategies of player 'p1' must be strings, got 1.5",
+        ),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_instance(json.dumps(dict(EX1_DOCUMENT, players=players)))
     # each edge must be a pair of JSON ints naming two distinct players
     graphical = {
         "format": "gipf-1",

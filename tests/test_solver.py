@@ -10,6 +10,7 @@ import pytest
 from gimpl import (
     INF,
     ZERO,
+    DominatorMapping,
     ExtValue,
     Game,
     GraphicalGame,
@@ -29,7 +30,13 @@ from gimpl import (
     verify,
 )
 
-from _support import random_equitable_instance, random_game, random_region, time_limit
+from _support import (
+    mixed_utility,
+    random_equitable_instance,
+    random_game,
+    random_region,
+    time_limit,
+)
 
 
 def test_compute_v_worked_example(ex1, ex1_region):
@@ -53,6 +60,48 @@ def test_compute_v_validates_assignment(ex1, ex1_region):
         compute_v(ex1, 0, {0: 0}, ex1_region)  # s1 is desired
     with pytest.raises(ValueError):
         compute_v(ex1, 0, {1: 1}, ex1_region)  # target s2 is not desired
+    with pytest.raises(ValueError, match="not an undesired strategy"):
+        compute_v(ex1, 0, {7: 0}, ex1_region)  # p1 has no strategy 7
+    # a region above MAX_PROFILES is refused as the search refuses it
+    wide = Game.make([f"p{i}" for i in range(17)], [["a", "b"]] * 17, [None] * 17)
+    message = "desired region has 131072 profiles, above the 65536 cap"
+    with pytest.raises(ValueError, match=message):
+        compute_v(wide, 0, {}, RectRegion.full(wide))
+    with pytest.raises(ValueError, match=message):
+        min_budget_solve(wide, RectRegion.full(wide))
+
+
+def test_compute_v_matches_the_oracles_raw_formula():
+    # compute_v and the search's promise share one gap builder; the oracle
+    # lifts every desired profile by the raw formula on its own
+    from gimpl.oracle import _promise_for
+
+    rng = random.Random(2323)
+    shared_targets = 0
+    for _ in range(150):
+        value = mixed_utility if rng.random() < 0.5 else None
+        game = random_game(rng, value=value)
+        region = random_region(rng, game)
+        desired = set(region.profiles())
+        domains = tuple(region.complement(game, i) for i in range(game.n_players))
+        targets = tuple(
+            tuple(rng.choice(region.sets[i]) for _ in domains[i])
+            for i in range(game.n_players)
+        )
+        shared_targets += any(len(set(t)) < len(t) for t in targets)
+        oracle = _promise_for(game, region, DominatorMapping(domains, targets))
+        result = min_budget_solve(game, region)
+        for i in range(game.n_players):
+            table = compute_v(game, i, dict(zip(domains[i], targets[i])), region)
+            assert set(table) == desired
+            lifted = {o: v for o, v in oracle.entries[i].items() if o in desired}
+            assert all(v.is_finite for v in lifted.values())
+            assert {o: v for o, v in table.items() if v != ZERO} == lifted
+            own = dict(zip(result.mapping.domains[i], result.mapping.targets[i]))
+            table = compute_v(game, i, own, region)
+            finite = {o: v for o, v in result.promise.entries[i].items() if v.is_finite}
+            assert {o: v for o, v in table.items() if v != ZERO} == finite
+    assert shared_targets >= 30
 
 
 def test_solver_worked_example(ex1, ex1_region):
@@ -301,6 +350,17 @@ def test_exactify_rejects_full_region(ex1):
     full = RectRegion.full(ex1)
     with pytest.raises(ValueError, match="not equitable"):
         exactify(ex1, full, PaymentPromise.make(ex1, [None] * ex1.n_players))
+
+
+def test_exactify_refuses_an_oversize_region_by_its_size():
+    # an equitable region above MAX_PROFILES is named itself, not as the
+    # undominated region the pricing would sum over
+    game = Game.make(["p1", "p2", "p3"], [[f"s{k}" for k in range(50)]] * 3, [None] * 3)
+    region = RectRegion.make([range(41)] * 3)
+    assert is_equitable(game, region) == (True, (778, 778, 778))
+    promise = PaymentPromise.make(game, [None] * 3)
+    with pytest.raises(ValueError, match="desired region has 68921 profiles, above the 65536 cap"):
+        exactify(game, region, promise)
 
 
 def test_exactify_rejects_graphical_promise():

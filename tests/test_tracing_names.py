@@ -7,6 +7,8 @@ must end with a correct result."""
 import importlib.util
 import inspect
 import json
+import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from gimpl import solver
+
+from _support import random_game, random_region
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _TRACING = _BENCH / "tracing.py"
@@ -41,6 +45,22 @@ def test_scan_assignments_keeps_its_positional_bounds():
     assert [p.name for p in leading] == ["game", "region", "start", "stop"]
     positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
     assert all(p.kind in positional for p in leading)
+
+
+def test_payment_vectors_keep_the_layout_the_tracer_counts():
+    # solver.vector_candidates sums len(result[1][i]) over the players: one
+    # vector per (undesired, target) option, each over the whole region
+    rng = random.Random(11)
+    for _ in range(30):
+        game = random_game(rng)
+        region = random_region(rng, game)
+        domains = [region.complement(game, i) for i in range(game.n_players)]
+        per_player = solver._payment_vectors(game, region, domains)[1]
+        size = math.prod(map(len, region.sets))
+        assert len(per_player) == game.n_players
+        for i, vectors in enumerate(per_player):
+            assert len(vectors) == len(domains[i]) * len(region.sets[i])
+            assert all(len(vector) == size for vector in vectors)
 
 
 @pytest.mark.parametrize("workload", ["scan", "sweep", "cli"])
