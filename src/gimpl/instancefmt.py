@@ -10,9 +10,12 @@ whole list at once (entry objects with a player, a profile and a value;
 players ints in range, profiles lists, values ints or strings), decodes
 each distinct value once and builds the per-player tables. The model then
 checks every table key once (``model._canonical_table``): its length, the
-exact type of each index and its range. A list that fails a bulk check, or
-whose tables the model refuses, is read again entry by entry, so the first
-fault in document order still raises with its own message.
+exact type of each index and its range. When a list fails a bulk check,
+or the game or promise built from it is refused, ``_first_entry_fault``
+walks the list without building anything and names its first fault. The
+fault reported is the first malformed entry in document order, then the
+first repeated (player, profile) pair, then the game's or promise's own
+check, player by player.
 
 Documents and CLI payloads are written by ``iter_json``, which yields the text
 of ``json.dumps(obj, indent=2)`` in chunks. ``instance_to_dict`` builds entry
@@ -52,9 +55,7 @@ class InstanceDoc:
 
 
 def _decode_value(raw: Any, what: str) -> ExtValue:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise FormatError(f"{what}: values must be ints or 'p/q' strings, got {raw!r}")
-    if not isinstance(raw, (int, str)):
+    if type(raw) not in (int, str):
         raise FormatError(f"{what}: values must be ints or 'p/q' strings, got {raw!r}")
     try:
         return ExtValue(raw)
@@ -68,27 +69,21 @@ _PLAYER, _PROFILE, _VALUE = map(operator.itemgetter, ("player", "profile", "valu
 
 
 def _decode_entries(raw: Any, n_players: int, what: str) -> Tables:
-    """The per-player tables of an entry list, checked in bulk; a list that
-    fails a bulk check goes to ``_read_entries``, which raises its first
-    fault. The elements of the profiles are left to the model."""
-    tables = _bulk_entries(raw, n_players, what)
-    return tables if tables is not None else _read_entries(raw, n_players, what)
-
-
-def _bulk_entries(raw: Any, n_players: int, what: str) -> Tables | None:
-    """The tables of a list of entry objects whose players are ints in
-    range, profiles lists and values ints or strings, each checked over the
-    whole list at once; each distinct value is decoded once. None when a
-    check fails, a profile holds an unhashable element or a (player,
-    profile) pair repeats."""
+    """The per-player tables of a list of entry objects whose players are
+    ints in range, profiles lists and values ints or strings, each checked
+    over the whole list at once; each distinct value is decoded once. The
+    elements of the profiles are left to the model. A failed check, an
+    unhashable profile element or a repeated (player, profile) pair raises
+    a FormatError that names no entry; ``_entry_faults_first`` names it."""
+    refused = FormatError(f"{what}: malformed entry list")
     if type(raw) is not list or not set(map(type, raw)) <= {dict}:
-        return None
+        raise refused
     try:
         players = list(map(_PLAYER, raw))
         profiles = list(map(_PROFILE, raw))
         values = list(map(_VALUE, raw))
     except KeyError:
-        return None
+        raise refused from None
     if not (
         set(map(type, players)) <= {int}
         and 0 <= min(players, default=0)
@@ -96,11 +91,8 @@ def _bulk_entries(raw: Any, n_players: int, what: str) -> Tables | None:
         and set(map(type, profiles)) <= {list}
         and set(map(type, values)) <= {int, str}
     ):
-        return None
-    try:
-        decoded = {value: _decode_value(value, what) for value in dict.fromkeys(values)}
-    except FormatError:
-        return None
+        raise refused
+    decoded = {value: _decode_value(value, what) for value in dict.fromkeys(values)}
     tables: Tables = [{} for _ in range(n_players)]
     rows = zip(
         map(tables.__getitem__, players), map(tuple, profiles), map(decoded.__getitem__, values)
@@ -109,24 +101,23 @@ def _bulk_entries(raw: Any, n_players: int, what: str) -> Tables | None:
         for table, key, ext in rows:
             table[key] = ext
     except TypeError:  # an unhashable profile element
-        return None
-    return tables if sum(map(len, tables)) == len(raw) else None
+        raise refused from None
+    if sum(map(len, tables)) != len(raw):
+        raise refused
+    return tables
 
 
-def _read_entries(raw: Any, n_players: int, what: str) -> Tables:
-    """The per-player tables of an entry list, checked entry by entry; the
-    first fault in document order raises."""
+def _first_entry_fault(raw: Any, n_players: int, what: str) -> None:
+    """Raise the first fault of an entry list: its malformed entries in
+    document order, then its first repeated (player, profile) pair, which
+    is looked for only once every entry has passed. Builds nothing."""
     if not isinstance(raw, list):
         raise FormatError(f"{what} must be a list of entries")
-    tables: Tables = [{} for _ in range(n_players)]
-    decoded: dict[int | str, ExtValue] = {}  # values repeat; ExtValue is immutable
     for entry in raw:
         if not isinstance(entry, dict):
             raise FormatError(f"{what} entries must be objects")
         try:
-            player = entry["player"]
-            profile = entry["profile"]
-            value = entry["value"]
+            player, profile, value = entry["player"], entry["profile"], entry["value"]
         except KeyError as exc:
             raise FormatError(f"{what} entry is missing {exc}") from exc
         # json.loads gives exact types, so type() tests match isinstance here;
@@ -135,20 +126,13 @@ def _read_entries(raw: Any, n_players: int, what: str) -> Tables:
             raise FormatError(f"{what}: player {player!r} out of range")
         if type(profile) is not list or not set(map(type, profile)) <= {int}:
             raise FormatError(f"{what}: profile must be a list of ints, got {profile!r}")
-        ext = decoded.get(value) if type(value) in (int, str) else None
-        if ext is None:
-            ext = decoded[value] = _decode_value(value, what)
-        tables[player][tuple(profile)] = ext
-    if sum(map(len, tables)) != len(raw):
-        seen: set[tuple[int, tuple[int, ...]]] = set()
-        for entry in raw:
-            key = (entry["player"], tuple(entry["profile"]))
-            if key in seen:
-                raise FormatError(
-                    f"{what}: player {key[0]} has two entries at profile {list(key[1])}"
-                )
-            seen.add(key)
-    return tables
+        _decode_value(value, what)
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    for entry in raw:
+        key = (entry["player"], tuple(entry["profile"]))
+        if key in seen:
+            raise FormatError(f"{what}: player {key[0]} has two entries at profile {list(key[1])}")
+        seen.add(key)
 
 
 def parse_instance(text: str) -> InstanceDoc:
@@ -168,13 +152,13 @@ def parse_instance(text: str) -> InstanceDoc:
 
 @contextmanager
 def _entry_faults_first(raw: Any, n_players: int, what: str) -> Iterator[None]:
-    """Build from the entry list ``raw``; when that raises, the per-entry
-    reader's first fault in ``raw``, if it has one, is raised instead, as
-    it would have been had the entries been read one by one first."""
+    """Build from the entry list ``raw``; when that raises (a bulk refusal,
+    a value that fails to decode, or the model's refusal), the first fault
+    of ``raw`` is raised instead if it has one, else the original error."""
     try:
         yield
     except ValueError:
-        _read_entries(raw, n_players, what)
+        _first_entry_fault(raw, n_players, what)
         raise
 
 
@@ -198,7 +182,9 @@ def _read_document(doc: Any) -> InstanceDoc:
         name, options = entry["name"], entry["strategies"]
         if not isinstance(name, str):
             raise FormatError(f"player names must be strings, got {name!r}")
-        if not isinstance(options, list) or not options:
+        if not isinstance(options, list):
+            raise FormatError(f"strategies of player {name!r} must be a list, got {options!r}")
+        if not options:
             raise FormatError(f"player {name!r} has no strategies")
         for option in options:
             if not isinstance(option, str):

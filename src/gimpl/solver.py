@@ -386,11 +386,12 @@ def min_budget_solve(
 
 def is_equitable(game: AnyGame, region: RectRegion) -> tuple[bool, tuple[int, ...]]:
     """Whether every player's desired set fits inside the undesired part of
-    the opponents' profile space; margins are slack counts per player."""
+    its key opponents' profile space (``game.opponents``, the neighbours in a
+    graphical game); margins are slack counts per player."""
     region.validate_for(game)
     margins = []
     for i in range(game.n_players):
-        others = [j for j in range(game.n_players) if j != i]
+        others = game.opponents(i)
         opp_total = math.prod(game.sizes[j] for j in others)
         opp_desired = math.prod(len(region.sets[j]) for j in others)
         margins.append((opp_total - opp_desired) - len(region.sets[i]))

@@ -434,6 +434,26 @@ def test_oracle_names_the_tie_no_off_region_profile_can_break(tmp_path):
     )
 
 
+def test_solve_and_pne_pass_the_tie_no_off_region_profile_can_break(tmp_path):
+    # README's heads-up: with the oracle's game and region, solve and pne say
+    # yes, while verify finds y undominated at infinite cost
+    game = Game.make(["a", "b"], [["x", "y"], ["u", "v"]], [{}, {}])
+    region = RectRegion.make([[0], [0, 1]])
+    path = _write(tmp_path, "shy.json", InstanceDoc(game=game, region=region))
+    solved = _run_cli("solve", path)
+    assert solved.returncode == 0
+    payload = json.loads(solved.stdout)
+    assert payload["delta"] == 0
+    emitted = tmp_path / "solved.json"
+    emitted.write_text(json.dumps(payload["instance"]), encoding="utf-8")
+    checked = _run_cli("verify", str(emitted))
+    assert checked.returncode == 2
+    report = json.loads(checked.stdout)
+    assert report["cost"] == "inf" and report["violation"] == [0, 1]
+    pne = _run_cli("pne", path)
+    assert pne.returncode == 0 and json.loads(pne.stdout)["pne"] is True
+
+
 def test_decode_rejects_a_graphical_document_for_normal_kinds(tmp_path):
     names = ["v:a", "v:b", "c:a:1", "c:a:2", "c:a:3", "c:b:1", "c:b:2", "c:b:3"]
     document = {

@@ -2,6 +2,7 @@
 
 import json
 import random
+from typing import Any
 from unittest import mock
 
 import pytest
@@ -19,6 +20,7 @@ from gimpl import (
     serialize_instance,
 )
 from gimpl import instancefmt
+from gimpl.instancefmt import Tables, _decode_value
 from gimpl.cli import run
 
 from _support import random_game
@@ -141,6 +143,19 @@ def test_malformed_documents():
             [dict(named[0], strategies=["s1", 1.5, "s3"]), named[1]],
             "strategies of player 'p1' must be strings, got 1.5",
         ),
+        (
+            [dict(named[0], strategies="xyz"), named[1]],
+            "strategies of player 'p1' must be a list, got 'xyz'",
+        ),
+        (
+            [dict(named[0], strategies=5), named[1]],
+            "strategies of player 'p1' must be a list, got 5",
+        ),
+        (
+            [dict(named[0], strategies={"s1": 0}), named[1]],
+            r"strategies of player 'p1' must be a list, got \{'s1': 0\}",
+        ),
+        ([dict(named[0], strategies=[]), named[1]], "player 'p1' has no strategies"),
     ]:
         with pytest.raises(FormatError, match=message):
             parse_instance(json.dumps(dict(EX1_DOCUMENT, players=players)))
@@ -252,6 +267,39 @@ def test_duplicate_entries_are_refused(tmp_path):
     assert parse_instance(json.dumps(dict(EX1_DOCUMENT, utilities=twice[:2])))
 
 
+def test_entry_faults_follow_the_documented_precedence():
+    # malformed entries in document order, then the first repeated pair,
+    # then the game's own check, player by player
+    def entry(player, profile, value):
+        return {"player": player, "profile": profile, "value": value}
+
+    float_fault = "utilities: values must be ints or 'p/q' strings, got 1.5"
+    for entries, message in [
+        ([entry(0, [0, 9], 1), entry(0, [0, 1], 1.5)], float_fault),
+        ([entry(0, [0, 0], 1), entry(0, [0, 0], 2), entry(0, [0, 1], 1.5)], float_fault),
+        (
+            [entry(0, [0, 0], 1), entry(0, [0, 0], 2), entry(0, [0, 9], 1)],
+            "utilities: player 0 has two entries at profile [0, 0]",
+        ),
+        (
+            [entry(1, [0, 7], 1), entry(0, [0, 9], 1)],
+            "index out of range in utility profile of player 0: position 1 holds 9",
+        ),
+    ]:
+        document = {
+            "format": "gipf-1",
+            "kind": "normal",
+            "players": [
+                {"name": "a", "strategies": ["x", "y"]},
+                {"name": "b", "strategies": ["x", "y", "z"]},
+            ],
+            "utilities": entries,
+        }
+        with pytest.raises(FormatError) as info:
+            parse_instance(json.dumps(document))
+        assert str(info.value) == message
+
+
 # Entry lists for a (2, 3) game: clean entries around one spoiled entry, or
 # mixed with many. A spoiled entry has a profile element that equals an int
 # (True, 1.0), an unhashable or out-of-range one, a missing field, a player
@@ -304,6 +352,46 @@ ENTRY_LISTS = st.one_of(
 KINDS = {"normal": None, "graphical": [[0, 1]], "graphical, bad edge": [[0, 0]]}
 
 
+# The entry-by-entry reader that built the tables before the bulk pass was
+# the only builder; the bulk pass must agree with it on tables and errors.
+def _per_entry(raw: Any, n_players: int, what: str) -> Tables:
+    """The per-player tables of an entry list, checked entry by entry; the
+    first fault in document order raises."""
+    if not isinstance(raw, list):
+        raise FormatError(f"{what} must be a list of entries")
+    tables: Tables = [{} for _ in range(n_players)]
+    decoded: dict[int | str, ExtValue] = {}  # values repeat; ExtValue is immutable
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise FormatError(f"{what} entries must be objects")
+        try:
+            player = entry["player"]
+            profile = entry["profile"]
+            value = entry["value"]
+        except KeyError as exc:
+            raise FormatError(f"{what} entry is missing {exc}") from exc
+        # json.loads gives exact types, so type() tests match isinstance here;
+        # index ranges and key lengths are checked by the model
+        if type(player) is not int or not 0 <= player < n_players:
+            raise FormatError(f"{what}: player {player!r} out of range")
+        if type(profile) is not list or not set(map(type, profile)) <= {int}:
+            raise FormatError(f"{what}: profile must be a list of ints, got {profile!r}")
+        ext = decoded.get(value) if type(value) in (int, str) else None
+        if ext is None:
+            ext = decoded[value] = _decode_value(value, what)
+        tables[player][tuple(profile)] = ext
+    if sum(map(len, tables)) != len(raw):
+        seen: set[tuple[int, tuple[int, ...]]] = set()
+        for entry in raw:
+            key = (entry["player"], tuple(entry["profile"]))
+            if key in seen:
+                raise FormatError(
+                    f"{what}: player {key[0]} has two entries at profile {list(key[1])}"
+                )
+            seen.add(key)
+    return tables
+
+
 def _parsed(text):
     """Every table of the parsed document with its keys' element types, or
     the error text."""
@@ -331,5 +419,5 @@ def test_bulk_and_per_entry_readers_agree(field, kind, entries):
         document["edges"] = KINDS[kind]
     text = json.dumps(document)
     bulk = _parsed(text)
-    with mock.patch.object(instancefmt, "_decode_entries", instancefmt._read_entries):
+    with mock.patch.object(instancefmt, "_decode_entries", _per_entry):
         assert _parsed(text) == bulk

@@ -29,6 +29,7 @@ from gimpl import (
     solve_exact,
     verify,
 )
+from gimpl.solver import _off_region_rows
 
 from _support import (
     mixed_utility,
@@ -336,6 +337,14 @@ def test_is_equitable_examples(ex1, ex1_region, ce1, ce1_region):
     game = random_game(random.Random(5), n_players=2, min_strats=4, max_strats=4)
     ok, margins = is_equitable(game, RectRegion.make([[0], [0]]))
     assert ok and margins == (2, 2)
+    # a graphical game counts only each player's key opponents: on the path
+    # a-b-c with a one-strategy b, neither a nor c has an off-region key
+    path = GraphicalGame.make(
+        ["a", "b", "c"], [["x", "y"], ["u"], ["p", "q", "r"]], [[0, 1], [1, 2]], [None] * 3
+    )
+    region = RectRegion.make([[0], [0], [0]])
+    assert is_equitable(path, region) == (False, (-1, 4, -1))
+    assert [len(_off_region_rows(path, region, i)[0]) for i in range(3)] == [0, 5, 0]
 
 
 def test_exactify_rejects_non_equitable(ex1, ex1_region):
