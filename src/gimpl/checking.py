@@ -7,16 +7,15 @@ is desired (subset mode) and implements it exactly when, in addition, every
 desired strategy stays undominated.
 
 Both steps compute on exact numbers, never on floats: dominance compares the
-view's rank columns, and pricing sums the payments as ``ExtValue.exact``
-gives them (ints where integral, Fractions otherwise). Reports carry
-``ExtValue``s.
+view's rank columns, and pricing sums each profile's payments as
+``ExtValue.exact`` gives them (ints where integral, Fractions otherwise).
+Reports carry ``ExtValue``s.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from .domination import undominated_region
@@ -38,9 +37,9 @@ def _max_payment_over(view: ModifiedGameView, region: RectRegion) -> ExtValue:
     """Largest total payment over the profiles of ``region``; regions with
     more than ``MAX_PROFILES`` profiles are refused before any enumeration.
 
-    Each player's payments over the profiles are read once, through
-    ``key_at``, as the exact numbers of ``ExtValue.exact``; any infinite
-    payment makes the answer infinite."""
+    Each profile's payments are read through ``key_at`` and summed as the
+    exact numbers of ``ExtValue.exact``; any infinite payment makes the
+    answer infinite."""
     count = math.prod(map(len, region.sets))
     if count > MAX_PROFILES:
         raise ValueError(
@@ -49,16 +48,17 @@ def _max_payment_over(view: ModifiedGameView, region: RectRegion) -> ExtValue:
         )
     if view.promise is None:
         return ZERO
-    profiles = list(itertools.product(*region.sets))
-    key_at, exact = view.game.key_at, operator.attrgetter("exact")
-    totals = [0] * count
-    for i, table in enumerate(view.promise.entries):
-        keys = map(key_at, itertools.repeat(i), profiles)
-        payments = list(map(exact, map(table.get, keys, itertools.repeat(ZERO))))
-        if None in payments:
-            return INF
-        totals = list(map(operator.add, totals, payments))
-    return ExtValue(max(totals))
+    key_at, tables = view.game.key_at, tuple(enumerate(view.promise.entries))
+    worst = 0
+    for profile in itertools.product(*region.sets):
+        total = 0
+        for i, table in tables:
+            number = table.get(key_at(i, profile), ZERO).exact
+            if number is None:
+                return INF
+            total += number
+        worst = max(worst, total)
+    return ExtValue(worst)
 
 
 def cost(game: AnyGame, promise: PaymentPromise | None) -> ExtValue:
@@ -82,16 +82,10 @@ def verify(
     star = undominated_region(view)
 
     violation: tuple[int, int] | None = None
-    for i in range(game.n_players):
-        star_i = set(star.sets[i])
-        desired_i = set(region.sets[i])
-        for s in range(game.sizes[i]):
-            outside = s in star_i and s not in desired_i
-            missing = mode == "exact" and s in desired_i and s not in star_i
-            if outside or missing:
-                violation = (i, s)
-                break
-        if violation is not None:
+    for i, (kept, desired) in enumerate(zip(star.sets, region.sets)):
+        wrong = set(kept) ^ set(desired) if mode == "exact" else set(kept) - set(desired)
+        if wrong:
+            violation = (i, min(wrong))
             break
 
     total = _max_payment_over(view, star)

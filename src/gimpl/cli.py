@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from . import reductions
 from .checking import VerifyReport, verify
 from .domination import undominated_region
 from .instancefmt import (
@@ -208,6 +207,7 @@ def _pick_seed(args) -> int:
 
 
 def _cmd_gen_x3c(args) -> CommandResult:
+    from . import reductions  # only gen and decode need it
     inst = reductions.gen_x3c(args.n, _pick_seed(args), args.force)
     if args.target == "2p":
         game, region, budget = reductions.x3c_to_two_player(inst)
@@ -219,6 +219,7 @@ def _cmd_gen_x3c(args) -> CommandResult:
 
 
 def _cmd_gen_coloring(args) -> CommandResult:
+    from . import reductions  # only gen and decode need it
     graph = reductions.parse_edge_list(Path(args.edges).read_text(encoding="utf-8"))
     game, region, budget = reductions.coloring_to_exact(graph)
     doc = InstanceDoc(game=game, region=region, budget=budget)
@@ -226,6 +227,7 @@ def _cmd_gen_coloring(args) -> CommandResult:
 
 
 def _cmd_decode(args) -> CommandResult:
+    from . import reductions  # only gen and decode need it
     doc = _load(args.instance)
     if doc.promise is None:
         raise ValueError("decode needs a promise in the instance document")

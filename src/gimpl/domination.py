@@ -3,9 +3,9 @@
 A strategy x dominates y for player i when x is never worse than y against
 any joint opponent choice and strictly better against at least one. For
 graphical views the opponent choices range over the neighborhood only.
-Both tests compare the view's integer payoff columns, which it builds once
-per player. No iterated elimination happens here; undominatedness is
-one-shot.
+Both tests compare the view's integer payoff columns, built once per player;
+``undominated`` stops at each strategy's first dominator in index order. No
+iterated elimination happens here; undominatedness is one-shot.
 """
 
 from __future__ import annotations
@@ -21,32 +21,39 @@ def _beats(cx: list[int], cy: list[int]) -> bool:
 
 
 def dominates(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
-    """Whether strategy x dominates strategy y."""
+    """Whether strategy x dominates strategy y; an index naming no player or
+    strategy is refused."""
     if x == y:
         raise ValueError("a strategy cannot dominate itself")
     columns = view.columns(player)
+    for s in (x, y):
+        if type(s) is not int or not 0 <= s < len(columns):
+            raise ValueError(f"player {player} has no strategy {s!r}")
     return _beats(columns[x], columns[y])
 
 
 def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
     """Strategies of ``player`` that no other strategy dominates."""
     columns = view.columns(player)
-    return tuple(
-        y
-        for y, cy in enumerate(columns)
-        if not any(_beats(cx, cy) for x, cx in enumerate(columns) if x != y)
-    )
+    kept = []
+    for y, cy in enumerate(columns):
+        for x, cx in enumerate(columns):
+            if x != y and _beats(cx, cy):
+                break
+        else:
+            kept.append(y)
+    return tuple(kept)
 
 
 def undominated_region(view: ModifiedGameView) -> RectRegion:
-    """Product of the per-player undominated sets; never empty."""
-    return RectRegion.make([undominated(view, i) for i in range(view.n_players)])
+    """Product of the per-player undominated sets, each sorted and never empty."""
+    return RectRegion(tuple(undominated(view, i) for i in range(view.n_players)))
 
 
 def find_dominator(view: ModifiedGameView, player: int, y: int) -> int:
     """Smallest-index undominated strategy dominating ``y``.
 
-    Raises ValueError when ``y`` is itself undominated.
+    Raises ValueError when ``y`` is itself undominated or names no strategy.
     """
     for x in undominated(view, player):
         if x != y and dominates(view, player, x, y):

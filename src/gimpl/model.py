@@ -456,50 +456,47 @@ class ModifiedGameView:
         the distinct payoffs (infinity highest, 0 for unset keys), so that
         the ints order as the payoffs do.
 
-        Built once per player, straight from the tables, on the exact
-        numbers of ``ExtValue.exact`` (ints where integral, Fractions
-        otherwise, never floats): only keys that both the utility and the
-        promise table hold are summed, infinity absorbing. More than
-        ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
-        payoffs, are refused before any is built.
+        Built once per player in one pass over the utility, then the promise
+        entries, on the exact numbers of ``ExtValue.exact`` (never floats),
+        each distinct value object converted once; a payment on a utility
+        key adds to it, infinity absorbing. An index naming no player, more
+        than ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
+        payoffs are refused before any is built.
         """
-        if player in self._columns:
-            return self._columns[player]
-        parts = math.prod(self.sizes[j] for j in self.game.opponents(player))
+        columns = self._columns.get(player)
+        if columns is not None:
+            return columns
+        if type(player) is not int or not 0 <= player < self.n_players:
+            raise ValueError(f"the game has no player {player!r}")
+        size = self.sizes[player]
+        parts = math.prod(map(self.sizes.__getitem__, self.game.opponents(player)))
         if parts > MAX_PROFILES:
             raise ValueError(
                 f"dominance for player {player} ranges over {parts} opponent profiles, "
                 f"above the {MAX_PROFILES} cap"
             )
-        count = self.sizes[player] * parts
+        count = size * parts
         if count > MAX_PAYOFFS:
             raise ValueError(
                 f"dominance for player {player} needs {count} payoffs, above the "
                 f"{MAX_PAYOFFS} cap"
             )
-        base = self._tables[player]
-        totals = dict(base)
-        # the keys both tables hold, summed; None (infinity) absorbs
-        sums: dict[tuple[int, ...], int | Fraction | None] = {}
+        tables = [self._tables[player]]
         if self.promise is not None:
-            bonus = self.promise.entries[player]
-            totals.update(bonus)
-            for key in base.keys() & bonus.keys():
-                extra = totals.pop(key).exact
-                sums[key] = None if extra is None else base[key].exact + extra
-        # every other value is read once per distinct object, by id
-        values = list(totals.values())
-        objects = dict(zip(map(id, values), values))
-        exact = {ident: value.exact for ident, value in objects.items()}
-        finite = {0, *exact.values(), *sums.values()}
-        finite.discard(None)
-        rank = {number: r for r, number in enumerate(sorted(finite))}
-        rank[None] = len(finite)
-        rank_of = {ident: rank[number] for ident, number in exact.items()}
-        ranked = dict(zip(totals, map(rank_of.__getitem__, map(id, values))))
-        ranked.update(zip(sums, map(rank.__getitem__, sums.values())))
-        keys, get, zero = self.game.keys, ranked.get, itertools.repeat(rank[0])
-        columns = [list(map(get, keys(player, s), zero)) for s in range(self.sizes[player])]
+            tables.append(self.promise.entries[player])
+        exact: dict[int, int | Fraction | None] = {}  # by id of each value object
+        numbers: dict[tuple[int, ...], int | Fraction | None] = {}  # None: infinity
+        for key, value in itertools.chain.from_iterable(map(dict.items, tables)):
+            number = exact.get(id(value), exact)  # the dict itself marks a first sight
+            if number is exact:
+                number = exact[id(value)] = value.exact
+            if number is not None and key in numbers:  # a payment on a utility
+                number += numbers[key]
+            numbers[key] = number
+        finite = sorted({0, *numbers.values()} - {None})
+        rank = dict(zip([*finite, None], itertools.count()))
+        keys, get, zero = self.game.keys, numbers.get, itertools.repeat(0)
+        columns = [list(map(rank.__getitem__, map(get, keys(player, s), zero))) for s in range(size)]
         self._columns[player] = columns
         return columns
 

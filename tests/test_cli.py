@@ -126,6 +126,22 @@ def test_malformed_region_exits_with_one_line_error(tmp_path, ex1):
         assert proc.stderr.decode().count("\n") == 1
 
 
+def test_only_gen_and_decode_import_the_reductions(tmp_path, ex1):
+    # importing the CLI and running another subcommand leaves the
+    # constructions unloaded; gen loads them on first use
+    path = _write(tmp_path, "ex1.json", InstanceDoc(game=ex1))
+    script = (
+        "import sys, gimpl.cli\n"
+        "assert 'gimpl.reductions' not in sys.modules\n"
+        f"assert gimpl.cli.run(['analyze', {path!r}]).exit_code == 0\n"
+        "assert 'gimpl.reductions' not in sys.modules\n"
+        "assert gimpl.cli.run(['gen', 'x3c', '--n', '1', '--seed', '3']).exit_code == 0\n"
+        "assert 'gimpl.reductions' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_malformed_edge_exits_with_one_line_error(tmp_path):
     document = {
         "format": "gipf-1",

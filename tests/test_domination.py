@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gimpl import (
+    INF,
+    ZERO,
+    ExtValue,
+    Game,
     ModifiedGameView,
     RectRegion,
     dominates,
@@ -15,7 +19,9 @@ from gimpl import (
     find_dominator,
     undominated,
     undominated_region,
+    verify,
 )
+from gimpl.oracle import _dominates_by_definition
 
 from _support import mixed_utility, random_game, random_graphical, random_promise
 
@@ -30,6 +36,24 @@ def test_worked_example_witness(ex1):
 def test_dominates_rejects_equal_strategies(ex1):
     with pytest.raises(ValueError):
         dominates(ModifiedGameView(ex1), 0, 1, 1)
+
+
+def test_player_and_strategy_indices_out_of_range_are_refused():
+    # player 0 has strategies 0..2; strategy 0 dominates 1 and 2
+    game = Game.make(["a", "b"], [["x", "y", "z"], ["u"]], [{(0, 0): 3, (1, 0): 2}, {}])
+    view = ModifiedGameView(game)
+    for x, y, bad in [(0, -3, -3), (-3, 1, -3), (0, 3, 3), (3, 1, 3), (True, 2, True)]:
+        with pytest.raises(ValueError, match=f"^player 0 has no strategy {bad}$"):
+            dominates(view, 0, x, y)
+    for y in (-2, -1, 3):
+        with pytest.raises(ValueError, match=f"^player 0 has no strategy {y}$"):
+            find_dominator(view, 0, y)
+    for player in (2, -1, True):
+        with pytest.raises(ValueError, match=f"^the game has no player {player}$"):
+            undominated(view, player)
+    with pytest.raises(ValueError, match="^the game has no player 2$"):
+        dominates(view, 2, 0, 1)
+    assert dominates(view, 0, 0, 2) and find_dominator(view, 0, 2) == 0
 
 
 def test_worked_example_undominated_sets(ex1, ex1_promise):
@@ -171,3 +195,54 @@ def test_rank_columns_order_as_the_payoffs(seed, graphical):
             for x, y in itertools.product(range(game.sizes[i]), repeat=2):
                 payoffs = _order(view.payoff(i, x, opp), view.payoff(i, y, opp))
                 assert _order(columns[x][k], columns[y][k]) == payoffs
+
+
+def _cost_by_definition(game, promise, region) -> ExtValue:
+    """Largest sum of the promised payments over the profiles of ``region``."""
+    return max(
+        sum((promise.value(i, game.key_at(i, profile)) for i in range(game.n_players)), ZERO)
+        for profile in region.profiles()
+    )
+
+
+def test_undominated_and_verify_match_the_definition_under_promises():
+    # negative and fractional utilities; fractional, absent and infinite
+    # payments; normal and graphical games; random desired regions
+    rng = random.Random(9091)
+    for k in range(60):
+        if k % 2:
+            game = random_graphical(rng, mixed_utility)
+        else:
+            game = random_game(rng, value=mixed_utility)
+        promise = random_promise(rng, game)
+        view = ModifiedGameView(game, promise)
+        survivors = []
+        for i, size in enumerate(game.sizes):
+            kept = tuple(
+                y
+                for y in range(size)
+                if not any(_dominates_by_definition(view, i, x, y) for x in range(size) if x != y)
+            )
+            assert undominated(view, i) == kept
+            survivors.append(kept)
+        star = RectRegion.make(survivors)
+        cost = _cost_by_definition(game, promise, star)
+        region = RectRegion.make(
+            [sorted(rng.sample(range(size), rng.randint(1, size))) for size in game.sizes]
+        )
+        for desired in (region, star, RectRegion.full(game)):
+            for mode in ("subset", "exact"):
+                wrong = [
+                    (i, s)
+                    for i, size in enumerate(game.sizes)
+                    for s in range(size)
+                    if (s in star.sets[i]) != (s in desired.sets[i])
+                    and (mode == "exact" or s in star.sets[i])
+                ]
+                violation = wrong[0] if wrong else None
+                for budget in (ZERO, cost, INF):
+                    report = verify(game, promise, desired, budget, mode)
+                    assert report.undominated_region == star
+                    assert report.cost == cost
+                    assert report.violation == violation
+                    assert report.holds is (violation is None and cost <= budget)

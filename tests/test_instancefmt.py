@@ -6,7 +6,7 @@ from typing import Any
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gimpl import (
@@ -405,6 +405,14 @@ def _parsed(text):
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(["utilities", "promise"]), st.sampled_from(sorted(KINDS)), ENTRY_LISTS)
+# players out of range in every run: one equal to the player count, a
+# negative one and a bool, each after a clean entry
+@example("utilities", "normal", [{"player": 0, "profile": [0, 0], "value": 1},
+                                 {"player": 2, "profile": [0, 0], "value": 1}])
+@example("promise", "graphical", [{"player": 1, "profile": [0, 1], "value": "1/2"},
+                                  {"player": -1, "profile": [0, 0], "value": 1}])
+@example("utilities", "normal", [{"player": 0, "profile": [1, 2], "value": -1},
+                                 {"player": True, "profile": [0, 0], "value": 1}])
 def test_bulk_and_per_entry_readers_agree(field, kind, entries):
     document = {
         "format": "gipf-1",
