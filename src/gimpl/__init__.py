@@ -5,6 +5,9 @@ Core objects live in :mod:`gimpl.model`, weak dominance in
 minimum-budget search and exactification in :mod:`gimpl.solver`,
 definition-level cross-checks in :mod:`gimpl.oracle`, and the hardness
 constructions in :mod:`gimpl.reductions`.
+
+The oracle's names are served on first use (``__getattr__``), so importing
+the package does not load :mod:`gimpl.oracle`.
 """
 
 from .checking import VerifyReport, cost, verify
@@ -19,7 +22,6 @@ from .model import (
     expand_graphical,
     expand_graphical_promise,
 )
-from .oracle import OracleResult, oracle_min_budget, oracle_zero_cost
 from .solver import (
     DominatorMapping,
     PneReport,
@@ -33,6 +35,17 @@ from .solver import (
     solve_exact,
 )
 from .values import INF, ZERO, ExtValue
+
+_ORACLE_NAMES = ("OracleResult", "oracle_min_budget", "oracle_zero_cost")
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DominatorMapping",

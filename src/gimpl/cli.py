@@ -32,7 +32,6 @@ from .instancefmt import (
     parse_instance,
 )
 from .model import GraphicalGame, ModifiedGameView, expand_graphical
-from .oracle import oracle_min_budget
 from .solver import (
     DominatorMapping,
     min_budget_solve,
@@ -177,6 +176,8 @@ def _cmd_pne(args) -> CommandResult:
 
 
 def _cmd_oracle(args) -> CommandResult:
+    from .oracle import oracle_min_budget  # only oracle runs need it
+
     doc = _load_with_region(args)
     result = oracle_min_budget(_normal_form(doc.game), doc.region)
     landscape = [

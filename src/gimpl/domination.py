@@ -20,6 +20,12 @@ def _beats(cx: list[int], cy: list[int]) -> bool:
     return all(map(operator.ge, cx, cy)) and cx != cy
 
 
+def _check_strategy(columns: list[list[int]], player: int, s: int) -> None:
+    """Refuse ``s`` unless it is an int naming one of the player's strategies."""
+    if type(s) is not int or not 0 <= s < len(columns):
+        raise ValueError(f"player {player} has no strategy {s!r}")
+
+
 def dominates(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
     """Whether strategy x dominates strategy y; an index naming no player or
     strategy is refused."""
@@ -27,8 +33,7 @@ def dominates(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
         raise ValueError("a strategy cannot dominate itself")
     columns = view.columns(player)
     for s in (x, y):
-        if type(s) is not int or not 0 <= s < len(columns):
-            raise ValueError(f"player {player} has no strategy {s!r}")
+        _check_strategy(columns, player, s)
     return _beats(columns[x], columns[y])
 
 
@@ -53,8 +58,9 @@ def undominated_region(view: ModifiedGameView) -> RectRegion:
 def find_dominator(view: ModifiedGameView, player: int, y: int) -> int:
     """Smallest-index undominated strategy dominating ``y``.
 
-    Raises ValueError when ``y`` is itself undominated or names no strategy.
+    Raises ValueError when ``y`` names no strategy or is itself undominated.
     """
+    _check_strategy(view.columns(player), player, y)
     for x in undominated(view, player):
         if x != y and dominates(view, player, x, y):
             return x

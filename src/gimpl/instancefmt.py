@@ -8,14 +8,17 @@ rejected to keep everything exact.
 Entry lists are read in bulk. ``_decode_entries`` checks the shape of a
 whole list at once (entry objects with a player, a profile and a value;
 players ints in range, profiles lists, values ints or strings), decodes
-each distinct value once and builds the per-player tables. The model then
-checks every table key once (``model._canonical_table``): its length, the
-exact type of each index and its range. When a list fails a bulk check,
-or the game or promise built from it is refused, ``_first_entry_fault``
-walks the list without building anything and names its first fault. The
-fault reported is the first malformed entry in document order, then the
-first repeated (player, profile) pair, then the game's or promise's own
-check, player by player.
+each distinct value once and builds the per-player tables. ``_decode_value``
+keeps what it decodes for the rest of the process (``ExtValue`` is
+immutable): at most ``_DECODED_MAX`` short values, so many small documents
+build one ``ExtValue`` per distinct value between them. The model then
+checks every table key once, in one check per game or promise
+(``model._canonical_tables``): its length, the exact type of each index and
+its range. When a list fails a bulk check, or the game or promise built
+from it is refused, ``_first_entry_fault`` walks the list without building
+anything and names its first fault. The fault reported is the first
+malformed entry in document order, then the first repeated (player,
+profile) pair, then the game's or promise's own check, player by player.
 
 Documents and CLI payloads are written by ``iter_json``, which yields the text
 of ``json.dumps(obj, indent=2)`` in chunks. ``instance_to_dict`` builds entry
@@ -54,13 +57,34 @@ class InstanceDoc:
     promise: PaymentPromise | None = None
 
 
+# Decoded values by raw value, shared by every document the process reads:
+# ExtValue is immutable, so many small documents build one ExtValue per
+# distinct value. Only short values are kept (strings of up to _SHORT_TEXT
+# characters, ints of up to _SHORT_BITS bits), and the cache is emptied when
+# it reaches _DECODED_MAX entries. Threads parsing at once can overshoot that
+# bound by an entry each; every entry is still the right value.
+_DECODED: dict[int | str, ExtValue] = {}
+_DECODED_MAX = 4096
+_SHORT_TEXT = 32
+_SHORT_BITS = 64
+
+
 def _decode_value(raw: Any, what: str) -> ExtValue:
-    if type(raw) not in (int, str):
+    kind = type(raw)
+    if kind is not int and kind is not str:  # before the lookup: True == 1
         raise FormatError(f"{what}: values must be ints or 'p/q' strings, got {raw!r}")
+    ext = _DECODED.get(raw)
+    if ext is not None:
+        return ext
     try:
-        return ExtValue(raw)
+        ext = ExtValue(raw)
     except ValueError as exc:
         raise FormatError(f"{what}: {exc}") from exc
+    if (len(raw) <= _SHORT_TEXT) if kind is str else (raw.bit_length() <= _SHORT_BITS):
+        if len(_DECODED) >= _DECODED_MAX:
+            _DECODED.clear()
+        _DECODED[raw] = ext
+    return ext
 
 
 Tables = list[dict[tuple[int, ...], ExtValue]]

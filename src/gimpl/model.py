@@ -53,69 +53,114 @@ def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> P
     return prof
 
 
-def _canonical_table(
-    raw: Mapping[Sequence[int], ValueLike] | None,
+def _checked_value(
+    value: object, allow_infinite: bool, allow_negative: bool
+) -> tuple[ExtValue | None, str | None]:
+    """``value`` as an ExtValue (None for zero) and its fault, if it has one."""
+    ext = value if type(value) is ExtValue else ExtValue(value)
+    if not ext.is_finite:
+        return ext, None if allow_infinite else "infinite utility"
+    sign = ext.fraction.numerator
+    if sign < 0:
+        return ext, None if allow_negative else "negative promise"
+    return (ext if sign else None), None
+
+
+def _table_by_key(
+    raw: Mapping[Sequence[int], ValueLike],
     sizes: Sequence[int],
+    what: str,
+    allow_infinite: bool,
+    allow_negative: bool,
+) -> dict[tuple[int, ...], ExtValue]:
+    """``raw`` checked entry by entry, each key before its value, with zero
+    entries dropped; the first fault raises its own message. Each distinct
+    value object is checked once."""
+    table: dict[tuple[int, ...], ExtValue | None] = {}
+    exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
+    for key, value in raw.items():
+        prof = _check_profile(key, sizes, what)
+        ext = exts.get(id(value), exts)  # the dict itself marks a first sight
+        if ext is exts:
+            ext, fault = _checked_value(value, allow_infinite, allow_negative)
+            if fault is not None:
+                raise ValueError(f"{fault} at {what} {prof}")
+            exts[id(value)] = ext
+        table[prof] = ext
+    return {key: ext for key, ext in table.items() if ext is not None}
+
+
+def _keys_fit(keys: Sequence[object], sizes: Sequence[int]) -> bool:
+    """Whether every key is a tuple of ``len(sizes)`` exact ints, each in the
+    range of its column: a few passes over all the keys at once. Only once
+    every element is known to be an exact int are a column's elements
+    reduced to their distinct values (``True`` would merge with ``1``)."""
+    if not (
+        set(map(type, keys)) <= {tuple}
+        and set(map(len, keys)) <= {len(sizes)}
+        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+    ):
+        return False
+    for pos, size in enumerate(sizes):
+        column = set(map(operator.itemgetter(pos), keys))
+        if min(column, default=0) < 0 or max(column, default=0) >= size:
+            return False
+    return True
+
+
+def _canonical_tables(
+    raws: Sequence[Mapping[Sequence[int], ValueLike] | None],
+    key_sizes: Sequence[tuple[int, ...]],
     what: str,
     *,
     allow_infinite: bool,
     allow_negative: bool,
-) -> dict[tuple[int, ...], ExtValue]:
-    """``raw`` with zero entries dropped and every key and value checked; the
-    first fault in table order raises its own message.
+) -> tuple[dict[tuple[int, ...], ExtValue], ...]:
+    """The canonical tables of one game or promise, one per player: zero
+    entries dropped, and every key and value checked. ``key_sizes[i]`` are
+    the sizes of player i's key columns, and ``what.format(i)`` names
+    player i's table in messages.
 
-    The keys are checked for the whole table at once (tuples of
-    ``len(sizes)`` exact ints in range) and key by key only when that check
-    fails. Each distinct value object is checked once, in order of first
-    use, so the first faulty value is the one at the first faulty entry. A
-    table that needs nothing converted or dropped comes back as a plain
-    copy.
+    The check runs once per game, not once per table. The keys of all
+    players whose keys have the same sizes (in normal form, every player)
+    are checked together in a few bulk passes: tuples of the right length,
+    exact ints, each column in range. Each distinct value object is checked
+    once across all tables. Keys are never merged by equality, so a
+    ``True`` in one player's key cannot hide behind a ``1`` in another's.
+    Only when a bulk check fails are the tables walked player by player,
+    entry by entry (``_table_by_key``), so the fault raised is the first in
+    that order, keys before values at each entry. When nothing needs
+    converting or dropping, each table comes back as a plain copy.
     """
-    raw = raw or {}
-    keys = raw.keys()
-    keys_ok = (
-        set(map(type, keys)) <= {tuple}
-        and set(map(len, keys)) <= {len(sizes)}
-        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
-        and all(
-            min(column) >= 0 and max(column) < size
-            for column, size in zip(zip(*keys), sizes)
+    raws = [raw or {} for raw in raws]
+    # by id of each value object, None for zero; left None when a bulk check fails
+    exts: dict[int, ExtValue | None] | None = None
+    if set(map(type, raws)) <= {dict}:
+        groups: dict[tuple[int, ...], list[object]] = {}
+        for raw, sizes in zip(raws, key_sizes):
+            groups.setdefault(tuple(sizes), []).extend(raw)
+        if all(_keys_fit(keys, sizes) for sizes, keys in groups.items()):
+            values = list(itertools.chain.from_iterable(map(dict.values, raws)))
+            objects = dict(zip(map(id, values), values))
+            exts = {}
+            for ident, value in objects.items():
+                ext, fault = _checked_value(value, allow_infinite, allow_negative)
+                if fault is not None:
+                    exts = None
+                    break
+                exts[ident] = ext
+    if exts is None:
+        return tuple(
+            _table_by_key(raw, sizes, what.format(i), allow_infinite, allow_negative)
+            for i, (raw, sizes) in enumerate(zip(raws, key_sizes))
         )
-    )
-    exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
-
-    def check(value: object, prof: Sequence[int] | None = None) -> None:
-        ext = value if type(value) is ExtValue else ExtValue(value)
-        fault = None
-        if not ext.is_finite:
-            fault = None if allow_infinite else "infinite utility"
-        elif ext.fraction.numerator < 0:
-            fault = None if allow_negative else "negative promise"
-        elif not ext.fraction.numerator:
-            ext = None
-        if fault is not None:
-            if prof is None:
-                prof = next(key for key, other in raw.items() if other is value)
-            raise ValueError(f"{fault} at {what} {prof}")
-        exts[id(value)] = ext
-
-    if not keys_ok:
-        checked = {}
-        for key, value in raw.items():
-            prof = _check_profile(key, sizes, what)
-            if id(value) not in exts:
-                check(value, prof)
-            checked[prof] = value
-        raw = checked
-    values = raw.values()
-    objects = dict(zip(map(id, values), values))
-    for ident, value in objects.items():
-        if ident not in exts:
-            check(value)
     if all(exts[ident] is value for ident, value in objects.items()):
-        return dict(raw)
-    exts_of = map(exts.__getitem__, map(id, values))
-    return {key: ext for key, ext in zip(raw, exts_of) if ext is not None}
+        return tuple(map(dict, raws))
+    ext_of = exts.__getitem__
+    return tuple(
+        {key: ext for key, ext in zip(raw, map(ext_of, map(id, raw.values()))) if ext is not None}
+        for raw in raws
+    )
 
 
 def _check_players(
@@ -249,12 +294,9 @@ class Game(_GameBase):
     ) -> "Game":
         names, strats = _check_players(players, strategies, utilities)
         sizes = tuple(len(s) for s in strats)
-        tables = tuple(
-            _canonical_table(
-                utilities[i], sizes, f"utility profile of player {i}",
-                allow_infinite=False, allow_negative=True,
-            )
-            for i in range(len(names))
+        tables = _canonical_tables(
+            utilities, (sizes,) * len(names), "utility profile of player {}",
+            allow_infinite=False, allow_negative=True,
         )
         return cls(names, strats, tables)
 
@@ -314,12 +356,9 @@ class GraphicalGame(_GameBase):
         neighborhoods = tuple(tuple(sorted(js)) for js in ngb)
         # the key layout needs only the strategies and the neighborhoods
         shape = cls(names, strats, tuple(sorted(canon_edges)), neighborhoods, ())
-        tables = tuple(
-            _canonical_table(
-                local_utilities[i], shape.key_sizes(i), f"local utility key of player {i}",
-                allow_infinite=False, allow_negative=True,
-            )
-            for i in range(n)
+        tables = _canonical_tables(
+            local_utilities, [shape.key_sizes(i) for i in range(n)],
+            "local utility key of player {}", allow_infinite=False, allow_negative=True,
         )
         return cls(names, strats, shape.edges, neighborhoods, tables)
 
@@ -399,12 +438,9 @@ class PaymentPromise:
     ) -> "PaymentPromise":
         if len(entries) != game.n_players:
             raise ValueError("one promise table per player is required")
-        tables = tuple(
-            _canonical_table(
-                entries[i], game.key_sizes(i), f"promise key of player {i}",
-                allow_infinite=True, allow_negative=False,
-            )
-            for i in range(game.n_players)
+        tables = _canonical_tables(
+            entries, [game.key_sizes(i) for i in range(game.n_players)],
+            "promise key of player {}", allow_infinite=True, allow_negative=False,
         )
         return cls(game.kind, tables)
 

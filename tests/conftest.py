@@ -9,8 +9,15 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gimpl import Game, PaymentPromise, RectRegion
+
+# every property test draws the same examples on every run (seeded from the
+# test itself, no example database), so whether a property catches a fault
+# does not depend on the run; each test keeps its own ``max_examples``
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 # the CLI tests run ``python -m gimpl.cli`` in child processes, which find the
 # package through PYTHONPATH as this process finds it through pytest's

@@ -142,6 +142,25 @@ def test_only_gen_and_decode_import_the_reductions(tmp_path, ex1):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_only_oracle_runs_import_the_oracle(tmp_path, ex1, ex1_region):
+    # importing the package and the CLI leaves the oracle unloaded; an oracle
+    # run and the package's oracle names load it on first use
+    path = _write(tmp_path, "ex1.json", InstanceDoc(game=ex1, region=ex1_region))
+    script = (
+        "import sys, gimpl, gimpl.cli\n"
+        "assert 'gimpl.oracle' not in sys.modules\n"
+        f"assert gimpl.cli.run(['solve', {path!r}]).exit_code == 0\n"
+        "assert 'gimpl.oracle' not in sys.modules\n"
+        f"assert gimpl.cli.run(['oracle', {path!r}]).exit_code == 0\n"
+        "assert 'gimpl.oracle' in sys.modules\n"
+        "from gimpl import OracleResult, oracle_min_budget, oracle_zero_cost\n"
+        "assert oracle_min_budget is gimpl.oracle.oracle_min_budget\n"
+        "assert {'OracleResult', 'oracle_min_budget', 'oracle_zero_cost'} <= set(gimpl.__all__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_malformed_edge_exits_with_one_line_error(tmp_path):
     document = {
         "format": "gipf-1",

@@ -56,6 +56,19 @@ def test_player_and_strategy_indices_out_of_range_are_refused():
     assert dominates(view, 0, 0, 2) and find_dominator(view, 0, 2) == 0
 
 
+def test_find_dominator_refuses_a_bool_before_comparing_it():
+    # strategy 1 is the only undominated one, so the loop meets x = 1, and
+    # True == 1 once answered "strategy True of player 0 is undominated"
+    game = Game.make(["a", "b"], [["x", "y"], ["u"]], [{(1, 0): 3}, {}])
+    view = ModifiedGameView(game)
+    for y in (True, False, 1.0):
+        with pytest.raises(ValueError, match=f"^player 0 has no strategy {y}$"):
+            find_dominator(view, 0, y)
+    assert find_dominator(view, 0, 0) == 1
+    with pytest.raises(ValueError, match="^strategy 1 of player 0 is undominated$"):
+        find_dominator(view, 0, 1)
+
+
 def test_worked_example_undominated_sets(ex1, ex1_promise):
     plain = ModifiedGameView(ex1)
     assert undominated(plain, 0) == (0, 1)  # {s1, s2}

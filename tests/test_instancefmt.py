@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from typing import Any
 from unittest import mock
 
@@ -265,6 +266,68 @@ def test_duplicate_entries_are_refused(tmp_path):
         assert result.exit_code == 1 and result.payload["error"] == message
     # the same profile under two players is no duplicate
     assert parse_instance(json.dumps(dict(EX1_DOCUMENT, utilities=twice[:2])))
+
+
+@pytest.fixture
+def fresh_values(monkeypatch):
+    """An empty value cache for one test, so tests see none of each other's
+    values."""
+    cache: dict = {}
+    monkeypatch.setattr(instancefmt, "_DECODED", cache)
+    return cache
+
+
+def test_a_value_is_decoded_once_per_process(fresh_values):
+    assert _decode_value("7/3", "utilities") is _decode_value("7/3", "utilities")
+    assert _decode_value(5, "utilities") is _decode_value(5, "promise")
+    # two documents share the ExtValue of each value they have in common
+    first = parse_instance(json.dumps(EX1_DOCUMENT))
+    second = parse_instance(json.dumps(EX1_DOCUMENT))
+    assert first.game.utilities[0][(1, 0)] is second.game.utilities[0][(1, 0)]
+    assert first.promise.entries[1][(0, 0)] is second.promise.entries[1][(0, 0)]
+    assert set(fresh_values) == {"7/3", 5, 1, 2, "11/10", "1/10"}
+
+
+def test_a_malformed_value_is_refused_on_every_call_and_never_kept(fresh_values):
+    _decode_value(1, "utilities")  # True == 1, so a cached 1 must not answer True
+    for raw, message in [
+        ("1.5", "utilities: malformed rational '1.5'"),
+        ([1], "utilities: values must be ints or 'p/q' strings, got [1]"),
+        (True, "utilities: values must be ints or 'p/q' strings, got True"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(FormatError) as info:
+                _decode_value(raw, "utilities")
+            assert str(info.value) == message
+    assert list(fresh_values) == [1] and type(next(iter(fresh_values))) is int
+
+
+def test_more_distinct_values_than_the_cache_holds(fresh_values):
+    count = instancefmt._DECODED_MAX + 100
+    document = {
+        "format": "gipf-1",
+        "kind": "normal",
+        "players": [{"name": "a", "strategies": [f"s{k}" for k in range(count)]}],
+        "utilities": [
+            {"player": 0, "profile": [k], "value": f"{k + 1}/7" if k % 2 else k + 1}
+            for k in range(count)
+        ],
+    }
+    doc = parse_instance(json.dumps(document))
+    assert doc.game.utilities[0] == {
+        (k,): ExtValue(f"{k + 1}/7" if k % 2 else k + 1) for k in range(count)
+    }
+    assert 0 < len(fresh_values) <= instancefmt._DECODED_MAX
+
+
+def test_long_strings_and_huge_ints_are_not_kept(fresh_values):
+    long_text, huge = "1" * 40 + "/3", 2**70
+    assert _decode_value(long_text, "utilities") == ExtValue(Fraction(int("1" * 40), 3))
+    assert _decode_value(huge, "utilities") == ExtValue(huge)
+    assert _decode_value(-(2**64), "utilities") == ExtValue(-(2**64))
+    assert fresh_values == {}
+    _decode_value(2**64 - 1, "utilities")  # 64 bits: short enough
+    assert list(fresh_values) == [2**64 - 1]
 
 
 def test_entry_faults_follow_the_documented_precedence():

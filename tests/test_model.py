@@ -97,6 +97,89 @@ def test_bad_keys_keep_their_messages(case, field, key_name):
             PaymentPromise.make(game, [{}, table])
     assert str(made.value) == make_message.format(key=key_name)
 
+# Messages recorded from the table-by-table check, before one check per game
+# replaced it.
+_TWO_BY_TWO = (["a", "b"], [["x", "y"], ["x", "y"]])
+
+
+@pytest.mark.parametrize("trap", [True, 1.0])
+def test_a_key_equal_to_another_players_int_key_is_still_refused(trap):
+    # (True, 0) equals and hashes like player 0's (1, 0); the check of the
+    # whole game must not merge them before it tests the element types
+    with pytest.raises(ValueError) as made:
+        Game.make(*_TWO_BY_TWO, [{(1, 0): 1}, {(trap, 0): 2}])
+    assert str(made.value) == (
+        f"utility profile of player 1: position 0 holds {trap!r}, not a strategy index"
+    )
+
+
+def test_the_first_players_value_fault_comes_before_a_later_players_key_fault():
+    for player_0 in ({(0, 0): "inf"}, {(0, 1): 1, (0, 0): "inf"}):
+        with pytest.raises(ValueError) as made:
+            Game.make(*_TWO_BY_TWO, [player_0, {(0, 5): 1}])
+        assert str(made.value) == "infinite utility at utility profile of player 0 (0, 0)"
+
+
+def test_a_zero_shared_by_every_table_is_dropped_everywhere():
+    zero, three = ExtValue(0), ExtValue(3)
+    game = Game.make(*_TWO_BY_TWO, [{(0, 0): zero, (1, 1): three}, {(0, 0): zero, (1, 0): zero}])
+    assert game.utilities == ({(1, 1): three}, {})
+    assert game.utilities[0][(1, 1)] is three
+    promise = PaymentPromise.make(game, [{(0, 1): zero}, {(1, 1): zero, (0, 0): INF}])
+    assert promise.entries == ({}, {(0, 0): INF})
+
+
+def test_graphical_keys_of_different_lengths():
+    # a path a - b - c: a and c have (2, 3)-sized keys, b a (3, 2, 2)-sized one
+    names, edges = ["a", "b", "c"], [[0, 1], [1, 2]]
+    strategies = [["x", "y"], ["x", "y", "z"], ["x", "y"]]
+    game = GraphicalGame.make(names, strategies, edges, [{(1, 2): 1}, {(2, 1, 0): 2}, {(1, 1): 3}])
+    assert game.local_utilities == (
+        {(1, 2): ExtValue(1)}, {(2, 1, 0): ExtValue(2)}, {(1, 1): ExtValue(3)}
+    )
+    for tables, message in [
+        (
+            [{(1, 2): 1}, {(2, 1, 0): 2}, {(1, True): 3}],
+            "local utility key of player 2: position 1 holds True, not a strategy index",
+        ),
+        (
+            [{(1, 2): 1}, {(2, 1, 1, 0): 2}, {(1, 1): 3}],
+            "local utility key of player 1 has 4 entries, expected 3",
+        ),
+        (
+            # (2, 1) fits player 1's first two columns but is one short
+            [{(1, 2): 1}, {(2, 1): 2}, {(1, 2): 3}],
+            "local utility key of player 1 has 2 entries, expected 3",
+        ),
+        (
+            # 2 is in range for b's key column of player 0, not for c's own
+            [{(1, 2): 1}, {(2, 1, 0): 2}, {(2, 1): 3}],
+            "index out of range in local utility key of player 2: position 0 holds 2",
+        ),
+    ]:
+        with pytest.raises(ValueError) as made:
+            GraphicalGame.make(names, strategies, edges, tables)
+        assert str(made.value) == message
+    # a triangle: every key has 3 entries, but b's columns are (3, 2, 2)
+    # where a's are (2, 3, 2), so b's (0, 2, 0) is out of range for b only
+    triangle = [[0, 1], [1, 2], [0, 2]]
+    game = GraphicalGame.make(names, strategies, triangle, [{(1, 2, 1): 1}, {(2, 1, 0): 2}, {}])
+    assert game.local_utilities == ({(1, 2, 1): ExtValue(1)}, {(2, 1, 0): ExtValue(2)}, {})
+    with pytest.raises(ValueError) as made:
+        GraphicalGame.make(names, strategies, triangle, [{(1, 2, 0): 1}, {(0, 2, 0): 2}, {}])
+    assert str(made.value) == (
+        "index out of range in local utility key of player 1: position 1 holds 2"
+    )
+
+
+def test_a_negative_payment_in_the_last_players_table_only():
+    game = Game.make(["a", "b", "c"], [["x", "y"]] * 3, [{}, {}, {}])
+    for last in ({(0, 1, 0): -1}, {(0, 1, 0): "-1/2", (0, 0, 0): 2}):
+        with pytest.raises(ValueError) as made:
+            PaymentPromise.make(game, [{(0, 0, 0): 1}, {(1, 1, 1): "inf"}, last])
+        assert str(made.value) == "negative promise at promise key of player 2 (0, 1, 0)"
+
+
 def test_zero_entries_are_dropped():
     g1 = Game.make(["p1"], [["a", "b"]], [{(0,): 0, (1,): 2}])
     g2 = Game.make(["p1"], [["a", "b"]], [{(1,): 2}])

@@ -2,9 +2,10 @@
 
 Graphical expansion fans each local entry out over the players outside the
 neighborhood, the solver builds its promises without ``make``, dominance
-compares integer payoff columns, and ``make`` checks whole tables before it
-falls back to checking key by key. Each test here sets one of these against
-a per-profile, per-key or ``view.payoff`` version written out in full.
+compares integer payoff columns, and ``make`` checks all of a game's tables
+at once before it falls back to checking them key by key. Each test here
+sets one of these against a per-profile, per-key or ``view.payoff`` version
+written out in full.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gimpl import (
@@ -32,7 +33,7 @@ from gimpl import (
     pne_promise,
     undominated,
 )
-from gimpl.model import MAX_PAYOFFS, _canonical_table, _check_profile
+from gimpl.model import MAX_PAYOFFS, _canonical_tables, _check_profile
 from gimpl.oracle import _dominates_by_definition
 from gimpl.reductions import gen_x3c, x3c_to_graphical
 
@@ -234,16 +235,30 @@ def _per_key(raw, sizes, what, allow_infinite, allow_negative):
 
 def _outcome(build):
     try:
-        table = build()
+        tables = build()
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
-    return [(key, type(key), value, type(value)) for key, value in table.items()]
+    return [[(key, type(key), value, type(value)) for key, value in t.items()] for t in tables]
 
 
+# one to three players, each with (2, 3)- or (3, 3)-sized keys, so some
+# players share their key sizes and are checked together; the sampled
+# values are shared objects, so a value recurs across tables
 @settings(max_examples=400, deadline=None)
-@given(TABLES, st.booleans(), st.booleans())
-def test_table_checks_equal_the_per_key_checks(raw, allow_infinite, allow_negative):
+@given(
+    st.lists(st.tuples(TABLES, st.sampled_from([SIZES, (3, 3)])), min_size=1, max_size=3),
+    st.booleans(),
+    st.booleans(),
+)
+# (2, 0) fits the first player's (3, 3) columns but not the second's (2, 3)
+@example([({(2, 0): 3}, (3, 3)), ({(2, 0): 3}, SIZES)], False, True)
+def test_table_checks_equal_the_per_key_checks(players, allow_infinite, allow_negative):
+    raws = [raw for raw, _ in players]
+    key_sizes = [sizes for _, sizes in players]
     flags = {"allow_infinite": allow_infinite, "allow_negative": allow_negative}
-    assert _outcome(lambda: _canonical_table(raw, SIZES, "key", **flags)) == _outcome(
-        lambda: _per_key(raw, SIZES, "key", allow_infinite, allow_negative)
+    assert _outcome(lambda: _canonical_tables(raws, key_sizes, "key of {}", **flags)) == _outcome(
+        lambda: [
+            _per_key(raw, sizes, f"key of {i}", allow_infinite, allow_negative)
+            for i, (raw, sizes) in enumerate(players)
+        ]
     )
