@@ -27,9 +27,10 @@ from .domination import undominated_region
 from .instancefmt import (
     InstanceDoc,
     StreamingEncoder,
+    decode_json,
     encode_entries,
     instance_to_dict,
-    parse_instance,
+    read_document,
 )
 from .model import GraphicalGame, ModifiedGameView, expand_graphical
 from .solver import (
@@ -54,7 +55,9 @@ class CommandResult:
 
 
 def _load(path: str) -> InstanceDoc:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    """The instance document at ``path``. Its text is freed once decoded,
+    before any table is built."""
+    return read_document(decode_json(Path(path).read_text(encoding="utf-8")))
 
 
 def _load_with_region(args) -> InstanceDoc:

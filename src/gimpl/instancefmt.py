@@ -14,11 +14,19 @@ immutable): at most ``_DECODED_MAX`` short values, so many small documents
 build one ``ExtValue`` per distinct value between them. The model then
 checks every table key once, in one check per game or promise
 (``model._canonical_tables``): its length, the exact type of each index and
-its range. When a list fails a bulk check, or the game or promise built
-from it is refused, ``_first_entry_fault`` walks the list without building
-anything and names its first fault. The fault reported is the first
-malformed entry in document order, then the first repeated (player,
-profile) pair, then the game's or promise's own check, player by player.
+its range; each checked key, name list and region set is then the one tuple
+the process keeps for it (``model._shared``: at most 16,384 tuples of at
+most 8 items, about 6.5 MB of keys or 14.4 MB of name lists at worst once
+every model is gone). When a list fails a bulk check, or the game or
+promise built from it is refused, ``_first_entry_fault`` walks the list
+without building anything and names its first fault. The fault reported is
+the first malformed entry in document order, then the first repeated
+(player, profile) pair, then the game's or promise's own check, player by
+player.
+
+``decode_json`` and ``read_document`` are ``parse_instance`` in two steps;
+the commands drop the document text between them, so it is freed before any
+table is built.
 
 Documents and CLI payloads are written by ``iter_json``, which yields the text
 of ``json.dumps(obj, indent=2)`` in chunks. ``instance_to_dict`` builds entry
@@ -162,10 +170,22 @@ def _first_entry_fault(raw: Any, n_players: int, what: str) -> None:
 def parse_instance(text: str) -> InstanceDoc:
     """Parse a gipf-1 document into validated objects; every fault in it
     raises FormatError."""
+    return read_document(decode_json(text))
+
+
+def decode_json(text: str) -> Any:
+    """The JSON value of ``text``; malformed JSON raises FormatError. With
+    ``read_document``, this is ``parse_instance`` in two steps, so a caller
+    that drops the text in between frees it before any table is built."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep, too many digits
         raise FormatError(f"malformed JSON: {exc}") from exc
+
+
+def read_document(doc: Any) -> InstanceDoc:
+    """The validated objects of a decoded gipf-1 document; every fault in it
+    raises FormatError."""
     try:
         return _read_document(doc)
     except FormatError:

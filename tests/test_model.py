@@ -3,6 +3,9 @@
 import itertools
 import json
 import random
+import sys
+import threading
+from collections.abc import Mapping
 
 import pytest
 
@@ -19,6 +22,7 @@ from gimpl import (
     expand_graphical_promise,
 )
 
+from gimpl import model
 from gimpl.instancefmt import FormatError, parse_instance
 
 from _support import random_game
@@ -178,6 +182,185 @@ def test_a_negative_payment_in_the_last_players_table_only():
         with pytest.raises(ValueError) as made:
             PaymentPromise.make(game, [{(0, 0, 0): 1}, {(1, 1, 1): "inf"}, last])
         assert str(made.value) == "negative promise at promise key of player 2 (0, 1, 0)"
+
+
+@pytest.fixture
+def fresh_shared(monkeypatch):
+    """An empty table of shared model pieces for one test, so tests see none
+    of each other's keys."""
+    table: dict = {}
+    monkeypatch.setattr(model, "_SHARED", table)
+    return table
+
+
+def _keys(table):
+    return sorted(table, key=list)
+
+
+def test_equal_keys_names_and_sets_are_one_object(fresh_shared):
+    def fresh_game():  # every key and name tuple built anew
+        text = '[["a", "b"], [["x", "y"], ["x", "y"]], [[0, 1], [1, 0]]]'
+        names, strategies, keys = json.loads(text)
+        one, two = map(tuple, keys)
+        three, four = map(tuple, reversed(keys))
+        return Game.make(names, strategies, [{one: 2, two: 3}, {three: 1, four: 4}])
+
+    first, second = fresh_game(), fresh_game()
+    for game in (first, second):
+        for mine, theirs in zip(_keys(game.utilities[1]), _keys(first.utilities[0])):
+            assert mine is theirs  # across players and across games
+    assert second.players is first.players
+    assert second.strategies[0] is first.strategies[0] is first.strategies[1]
+    promise = PaymentPromise.make(second, [{(1, 0): 1}, {(0, 1): INF}])
+    assert next(iter(promise.entries[0])) is _keys(first.utilities[0])[1]
+    assert next(iter(promise.entries[1])) is _keys(first.utilities[1])[0]
+    region = RectRegion.make([[1, 0], {0, 1}])
+    assert RectRegion.make([[0, 1], [1, 0]]).sets[0] is region.sets[0] is region.sets[1]
+    assert region.sets[0] is _keys(first.utilities[0])[0]  # an equal tuple is one tuple
+
+
+@pytest.mark.parametrize("trap", [True, 1.0])
+def test_a_shared_int_key_does_not_answer_for_a_later_trap(fresh_shared, trap):
+    # (1, 0) is kept first; (True, 0) equals it and hashes like it, so it must
+    # be refused by the type check before any lookup, with the old message
+    Game.make(*_TWO_BY_TWO, [{(1, 0): 1}, {}])
+    with pytest.raises(ValueError) as made:
+        Game.make(*_TWO_BY_TWO, [{}, {(trap, 0): 2}])
+    assert str(made.value) == (
+        f"utility profile of player 1: position 0 holds {trap!r}, not a strategy index"
+    )
+    game = Game.make(*_TWO_BY_TWO, [{}, {}])
+    with pytest.raises(ValueError) as made:
+        PaymentPromise.make(game, [{(0, trap): 1}, {}])
+    assert str(made.value) == (
+        f"promise key of player 0: position 1 holds {trap!r}, not a strategy index"
+    )
+    RectRegion.make([[1]])
+    with pytest.raises(ValueError, match="holds True, not a strategy index"):
+        RectRegion.make([[True]])
+
+
+def test_pieces_of_int_and_str_subclasses_keep_their_own_objects(fresh_shared):
+    class Index(int):
+        pass
+
+    class Name(str):
+        pass
+
+    RectRegion.make([[1]])
+    Game.make(["a"], [["x"]], [{}])
+    (members,) = RectRegion.make([[Index(1)]]).sets
+    assert type(members[0]) is Index
+    game = Game.make([Name("a")], [["x"]], [{}])
+    assert type(game.players[0]) is Name
+
+
+def test_a_refused_trap_leaves_no_shared_key_behind(fresh_shared):
+    with pytest.raises(ValueError):
+        Game.make(*_TWO_BY_TWO, [{(True, 0): 1}, {}])
+    assert set(fresh_shared) == {("a", "b"), ("x", "y")}  # the names only
+    game = Game.make(*_TWO_BY_TWO, [{(1, 0): 1}, {}])
+    (key,) = game.utilities[0]
+    assert key is fresh_shared[(1, 0)] and list(map(type, key)) == [int, int]
+
+
+def test_the_shared_table_never_grows_past_its_cap(fresh_shared, monkeypatch):
+    monkeypatch.setattr(model, "_SHARED_MAX", 8)
+    names, strategies = ["a", "b"], [[f"s{k}" for k in range(6)]] * 2
+    profiles = list(itertools.product(range(6), repeat=2))
+    rng = random.Random(5)
+    for _ in range(40):
+        table = {profile: rng.randint(1, 4) for profile in rng.sample(profiles, rng.randint(0, 7))}
+        game = Game.make(names, strategies, [table, dict(table)])
+        assert game.utilities[0] == game.utilities[1] == {
+            key: ExtValue(value) for key, value in table.items()
+        }
+        assert len(fresh_shared) <= 8
+    # a batch larger than the cap is not kept, and the table stays as it was
+    kept = dict(fresh_shared)
+    game = Game.make(names, strategies, [dict.fromkeys(profiles[:9], 1), {}])
+    assert fresh_shared == kept
+    assert game.utilities[0] == dict.fromkeys(profiles[:9], ExtValue(1))
+
+
+def test_pieces_above_the_size_limit_are_not_kept(fresh_shared):
+    items, text, index = model._SHARED_ITEMS, model._SHARED_TEXT, model._SHARED_INDEX
+    wide = items + 1
+    names, tables = [f"p{i}" for i in range(wide)], [{(0,) * wide: 1}] + [{}] * items
+    game = Game.make(names, [["x"]] * wide, tables)
+    assert game.utilities[0] == {(0,) * wide: ExtValue(1)}
+    Game.make(["n" * (text + 1)], [["x"]], [{}])
+    RectRegion.make([[0, index]])
+    RectRegion.make([range(wide)])
+    assert fresh_shared == {}
+    Game.make(["n" * text], [["x"] * items], [{(items - 1,): 1}])
+    RectRegion.make([[0, index - 1]])
+    assert set(fresh_shared) == {("n" * text,), ("x",) * items, (items - 1,), (0, index - 1)}
+
+
+def test_threads_building_games_at_once_keep_their_own_tables(fresh_shared, monkeypatch):
+    monkeypatch.setattr(model, "_SHARED_MAX", 16)
+    profiles = list(itertools.product(range(3), repeat=2))
+    faults: list[str] = []
+
+    def build(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            picked = rng.sample(profiles, rng.randint(0, 9))
+            table = {profile: rng.randint(1, 4) for profile in picked}
+            game = Game.make(["a", "b"], [["x", "y", "z"]] * 2, [table, dict(table)])
+            expected = {key: ExtValue(value) for key, value in table.items()}
+            if not game.utilities[0] == game.utilities[1] == expected:
+                faults.append(f"seed {seed}: {game.utilities} for {table}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert faults == []
+    # each of the other threads can add one batch (at most 9 keys) past the cap
+    assert len(fresh_shared) <= 16 + 3 * 9
+    assert all(key is canonical for key, canonical in fresh_shared.items())
+
+
+class _PairMapping(Mapping):
+    """A mapping over (list key, value) pairs, as a library caller may pass."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def __getitem__(self, key):
+        return next(value for k, value in self._pairs if list(k) == list(key))
+
+    def __iter__(self):
+        return (key for key, _ in self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+
+def test_list_keys_give_the_same_tables_as_tuple_keys(fresh_shared):
+    pairs = [([0, 1], 2), ([1, 0], "1/2"), ([1, 1], 0)]
+    by_list = Game.make(*_TWO_BY_TWO, [_PairMapping(pairs), {}])
+    by_tuple = Game.make(*_TWO_BY_TWO, [{tuple(k): v for k, v in pairs}, {}])
+    assert by_list == by_tuple
+    assert by_list.utilities[0] == {(0, 1): ExtValue(2), (1, 0): ExtValue("1/2")}
+    for mine, theirs in zip(_keys(by_list.utilities[0]), _keys(by_tuple.utilities[0])):
+        assert type(mine) is tuple and mine is theirs
+    promise = PaymentPromise.make(by_tuple, [{}, _PairMapping([([1, 1], "inf")])])
+    assert promise.entries == ({}, {(1, 1): INF})
+    with pytest.raises(ValueError) as made:
+        Game.make(*_TWO_BY_TWO, [{}, _PairMapping([([1, True], 1)])])
+    assert str(made.value) == (
+        "utility profile of player 1: position 1 holds True, not a strategy index"
+    )
 
 
 def test_zero_entries_are_dropped():
