@@ -28,12 +28,12 @@ def _check_strategy(columns: list[list[int]], player: int, s: int) -> None:
 
 def dominates(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
     """Whether strategy x dominates strategy y; an index naming no player or
-    strategy is refused."""
-    if x == y:
-        raise ValueError("a strategy cannot dominate itself")
+    strategy is refused before x and y are compared."""
     columns = view.columns(player)
     for s in (x, y):
         _check_strategy(columns, player, s)
+    if x == y:
+        raise ValueError("a strategy cannot dominate itself")
     return _beats(columns[x], columns[y])
 
 

@@ -2,27 +2,25 @@
 optional region, budget, and promise.
 
 Sparse tables: utility and promise entries omitted from the document are 0.
-Values are JSON ints or strings "p/q" (lowest terms) and "inf"; floats are
-rejected to keep everything exact.
+Values are JSON ints, or strings holding an int, a "p/q" or "inf", with any
+surrounding whitespace (" 2/4 " reads as 1/2); the writer emits "p/q" in
+lowest terms. Floats are rejected to keep everything exact.
 
 Entry lists are read in bulk. ``_decode_entries`` checks the shape of a
 whole list at once (entry objects with a player, a profile and a value;
 players ints in range, profiles lists, values ints or strings), decodes
-each distinct value once and builds the per-player tables. ``_decode_value``
-keeps what it decodes for the rest of the process (``ExtValue`` is
-immutable): at most ``_DECODED_MAX`` short values, so many small documents
-build one ``ExtValue`` per distinct value between them. The model then
+each distinct value once and builds the per-player tables. The model then
 checks every table key once, in one check per game or promise
 (``model._canonical_tables``): its length, the exact type of each index and
-its range; each checked key, name list and region set is then the one tuple
-the process keeps for it (``model._shared``: at most 16,384 tuples of at
-most 8 items, about 6.5 MB of keys or 14.4 MB of name lists at worst once
-every model is gone). When a list fails a bulk check, or the game or
-promise built from it is refused, ``_first_entry_fault`` walks the list
-without building anything and names its first fault. The fault reported is
-the first malformed entry in document order, then the first repeated
-(player, profile) pair, then the game's or promise's own check, player by
-player.
+its range. Decoded values, and each checked key, name list and region set,
+are kept in the process's one table of shared pieces (``model._SHARED``,
+whose comment states what it keeps, its cap and its worst case), so many
+small documents build one object for each equal piece between them. When a
+list fails a bulk check, or the game or promise built from it is refused,
+``_first_entry_fault`` walks the list without building anything and names
+its first fault. The fault reported is the first malformed entry in
+document order, then the first repeated (player, profile) pair, then the
+game's or promise's own check, player by player.
 
 ``decode_json`` and ``read_document`` are ``parse_instance`` in two steps;
 the commands drop the document text between them, so it is freed before any
@@ -45,6 +43,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterator, Mapping, Sequence
 
+from .model import _SHARED, _SHARED_BITS, _SHARED_TEXT, _shared
 from .model import AnyGame, Game, GraphicalGame, PaymentPromise, RectRegion
 from .values import ZERO, ExtValue
 
@@ -65,33 +64,20 @@ class InstanceDoc:
     promise: PaymentPromise | None = None
 
 
-# Decoded values by raw value, shared by every document the process reads:
-# ExtValue is immutable, so many small documents build one ExtValue per
-# distinct value. Only short values are kept (strings of up to _SHORT_TEXT
-# characters, ints of up to _SHORT_BITS bits), and the cache is emptied when
-# it reaches _DECODED_MAX entries. Threads parsing at once can overshoot that
-# bound by an entry each; every entry is still the right value.
-_DECODED: dict[int | str, ExtValue] = {}
-_DECODED_MAX = 4096
-_SHORT_TEXT = 32
-_SHORT_BITS = 64
-
-
 def _decode_value(raw: Any, what: str) -> ExtValue:
+    """The ExtValue of a raw int or str value, decoded once per process
+    while ``model._SHARED`` keeps it; anything else raises FormatError."""
     kind = type(raw)
     if kind is not int and kind is not str:  # before the lookup: True == 1
         raise FormatError(f"{what}: values must be ints or 'p/q' strings, got {raw!r}")
-    ext = _DECODED.get(raw)
-    if ext is not None:
-        return ext
-    try:
-        ext = ExtValue(raw)
-    except ValueError as exc:
-        raise FormatError(f"{what}: {exc}") from exc
-    if (len(raw) <= _SHORT_TEXT) if kind is str else (raw.bit_length() <= _SHORT_BITS):
-        if len(_DECODED) >= _DECODED_MAX:
-            _DECODED.clear()
-        _DECODED[raw] = ext
+    ext = _SHARED.get(raw)
+    if ext is None:
+        try:
+            ext = ExtValue(raw)
+        except ValueError as exc:
+            raise FormatError(f"{what}: {exc}") from exc
+        fits = len(raw) <= _SHARED_TEXT if kind is str else raw.bit_length() <= _SHARED_BITS
+        (ext,) = _shared((raw,), fits, (ext,))
     return ext
 
 

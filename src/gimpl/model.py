@@ -16,8 +16,9 @@ All objects here are immutable after construction; build them through the
 ``make`` classmethods, which canonicalize (zero entries dropped, index sets
 sorted) so that equality is structural. They also share what they check:
 every table key, the name and strategy tuples and each region index set
-come from ``_shared``, one bounded table for the process (``_SHARED``), so
-equal pieces of all models are one tuple.
+come from ``_shared``, one bounded table for the process (``_SHARED``, which
+also holds the gipf-1 reader's decoded values), so equal pieces of all models
+are one tuple.
 """
 
 from __future__ import annotations
@@ -45,47 +46,42 @@ MAX_PROFILES = 2**16
 # Largest number of payoffs a view lays out in columns for one player.
 MAX_PAYOFFS = 2**22
 
-# The immutable pieces of models (table keys, name and strategy tuples, region
-# index sets) by themselves, shared by every model the process builds: equal
-# pieces of all players' tables, of a game and its promise, and of many small
-# documents are one object. Only small tuples are kept (at most _SHARED_ITEMS
-# items: ints that index strategies, or strings of at most _SHARED_TEXT
-# characters between them), and the table is emptied when a batch could take
-# it past _SHARED_MAX entries. Filled to that cap with the largest pieces it
-# keeps, it holds about 6.5 MB of keys or 14.4 MB of name lists (measured with
-# tracemalloc on CPython 3.11) after every model is gone. Wider keys, as in a
-# 12-player normal-form game, are copied without a lookup: two more hashes of
-# each such key made `gimpl verify` on one 16% slower. Threads building models
-# at once can overshoot the cap by a batch each; each piece handed back still
-# equals the piece passed in.
-_SHARED: dict[tuple, tuple] = {}
+# One table for the process, shared by every model it builds: checked table
+# keys, name and strategy tuples and region index sets map to themselves, so
+# equal pieces of all players' tables, of a game and its promise, and of many
+# small documents are one tuple; the gipf-1 reader's raw int and str values map
+# to their ExtValue, so each is decoded once. A tuple never equals an int or a
+# str, and callers check exact types first, so a True never meets a 1. Kept
+# are ints of at most _SHARED_BITS bits, strs of at most _SHARED_TEXT
+# characters, and tuples of at most _SHARED_ITEMS such items whose strs have
+# at most _SHARED_TEXT characters between them (keys index strategies, so
+# their ints fit). The table is emptied when a batch could take it past
+# _SHARED_MAX entries. Filled to that cap, it holds at most about 14.4 MB once
+# every model is gone: 8-name lists of wide characters take that, 8-index
+# region sets 7.5 MB and values 4.2 MB (tracemalloc, CPython 3.11). Wider
+# keys, as in a 12-player normal-form game, are copied without a lookup: two
+# more hashes of each such key made `gimpl verify` on one 16% slower. Threads
+# building models at once can overshoot the cap by a batch each; each piece
+# handed back still equals the piece passed in.
+_SHARED: dict[object, object] = {}
 _SHARED_MAX = 2**14
 _SHARED_ITEMS = 8
 _SHARED_TEXT = 32
-_SHARED_INDEX = 2**30  # region indices from here on are not kept
+_SHARED_BITS = 64
 
 
-def _shared(objs: Collection[tuple], longest: int) -> Iterable[tuple]:
-    """The canonical tuple equal to each of ``objs``, in order, as an
-    iterator to be consumed at once. The caller has checked their items
-    (exact ints or exact strs, so a ``True`` never meets a ``1``) and passes
-    the length of the longest. A batch whose longest tuple has more than
-    ``_SHARED_ITEMS`` items, or that has more than ``_SHARED_MAX`` tuples,
-    is not kept and comes back as it is."""
-    if longest > _SHARED_ITEMS or len(objs) > _SHARED_MAX:
-        return objs
-    if len(_SHARED) + len(objs) > _SHARED_MAX:
+def _shared(pieces: Collection, fits: bool, values: Iterable | None = None) -> Iterable:
+    """What the table keeps for each of ``pieces``, in order, as an iterator
+    to be consumed at once; a new piece is kept with its entry of ``values``
+    (by default the piece itself). Nothing is kept, and ``values`` come back
+    as they are, unless the caller's ``fits`` says that every piece meets the
+    size rule and there are at most ``_SHARED_MAX`` of them."""
+    values = pieces if values is None else values
+    if not fits or len(pieces) > _SHARED_MAX:
+        return values
+    if len(_SHARED) + len(pieces) > _SHARED_MAX:
         _SHARED.clear()
-    return map(_SHARED.setdefault, objs, objs)
-
-
-def _rekeyed(table: Mapping[Profile, ExtValue], width: int) -> dict[Profile, ExtValue]:
-    """A copy of ``table``, whose keys are checked tuples of ``width``
-    indices, over the process's shared key tuples; a plain copy when keys
-    that wide are not kept."""
-    if width > _SHARED_ITEMS:
-        return dict(table)
-    return dict(zip(_shared(table, width), table.values()))
+    return map(_SHARED.setdefault, pieces, values)
 
 
 def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> Profile:
@@ -119,22 +115,18 @@ def _table_by_key(
     what: str,
     allow_infinite: bool,
     allow_negative: bool,
-) -> dict[tuple[int, ...], ExtValue]:
-    """``raw`` checked entry by entry, each key before its value, with zero
-    entries dropped; the first fault raises its own message. Each distinct
-    value object is checked once."""
+) -> dict[tuple[int, ...], ExtValue | None]:
+    """``raw`` checked entry by entry, each key before its value, as a table
+    of key tuples and ExtValues (None for zero); the first fault raises its
+    own message."""
     table: dict[tuple[int, ...], ExtValue | None] = {}
-    exts: dict[int, ExtValue | None] = {}  # by id of each raw value; None for zero
     for key, value in raw.items():
         prof = _check_profile(key, sizes, what)
-        ext = exts.get(id(value), exts)  # the dict itself marks a first sight
-        if ext is exts:
-            ext, fault = _checked_value(value, allow_infinite, allow_negative)
-            if fault is not None:
-                raise ValueError(f"{fault} at {what} {prof}")
-            exts[id(value)] = ext
+        ext, fault = _checked_value(value, allow_infinite, allow_negative)
+        if fault is not None:
+            raise ValueError(f"{fault} at {what} {prof}")
         table[prof] = ext
-    return {key: ext for key, ext in table.items() if ext is not None}
+    return table
 
 
 def _keys_fit(keys: Sequence[object], sizes: Sequence[int]) -> bool:
@@ -197,29 +189,31 @@ def _canonical_tables(
                     exts = None
                     break
                 exts[ident] = ext
+    fits = [len(sizes) <= _SHARED_ITEMS for sizes in key_sizes]
     if exts is None:
-        tables = [
+        raws = [
             _table_by_key(raw, sizes, what.format(i), allow_infinite, allow_negative)
             for i, (raw, sizes) in enumerate(zip(raws, key_sizes))
         ]
-        return tuple(map(_rekeyed, tables, map(len, key_sizes)))
-    if all(exts[ident] is value for ident, value in objects.items()):
-        return tuple(map(_rekeyed, raws, map(len, key_sizes)))
-    ext_of = exts.__getitem__
+        columns = map(dict.values, raws)
+    elif all(exts[ident] is value for ident, value in objects.items()):  # copy, keys shared
+        return tuple(
+            dict(zip(_shared(raw, True), raw.values())) if fit else dict(raw)
+            for raw, fit in zip(raws, fits)
+        )
+    else:
+        columns = (map(exts.__getitem__, map(id, raw.values())) for raw in raws)
     return tuple(
-        {
-            key: ext
-            for key, ext in zip(_shared(raw, len(sizes)), map(ext_of, map(id, raw.values())))
-            if ext is not None
-        }
-        for raw, sizes in zip(raws, key_sizes)
+        {key: ext for key, ext in zip(_shared(raw, fit), column) if ext is not None}
+        for raw, fit, column in zip(raws, fits, columns)
     )
 
 
 def _check_players(
     players: Iterable[str], strategies: Iterable[Iterable[str]], tables: Sequence[object]
 ) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
-    """Names and strategy lists of a game, checked against one table per player."""
+    """Names and strategy lists of a game, checked against one table per
+    player; a name that is not a str is refused."""
     names = tuple(players)
     strats = tuple(map(tuple, strategies))
     if not names:
@@ -233,10 +227,22 @@ def _check_players(
         raise ValueError("one utility table per player is required")
     pieces = [names, *strats]
     exact = set(map(type, itertools.chain(*pieces))) <= {str}
-    if exact and max(map(len, map("".join, pieces))) <= _SHARED_TEXT:
-        names, *options = _shared(pieces, max(map(len, pieces)))
-        strats = tuple(options)
-    return names, strats
+    if not exact:  # name the first name that is no str, as the gipf-1 reader does
+        for name, options in zip(names, strats):
+            if not isinstance(name, str):
+                raise ValueError(f"player names must be strings, got {name!r}")
+            wrong = [option for option in options if not isinstance(option, str)]
+            if wrong:
+                raise ValueError(f"strategies of player {name!r} must be strings, got {wrong[0]!r}")
+    fits = exact and max(map(len, pieces)) <= _SHARED_ITEMS
+    names, *options = _shared(pieces, fits and max(map(len, map("".join, pieces))) <= _SHARED_TEXT)
+    return names, tuple(options)
+
+
+def _check_player_index(game: AnyGame, player: int) -> None:
+    """Refuse ``player`` unless it is an int naming one of ``game``'s players."""
+    if type(player) is not int or not 0 <= player < game.n_players:
+        raise ValueError(f"the game has no player {player!r}")
 
 
 def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
@@ -456,9 +462,9 @@ class RectRegion:
         if not canon:
             raise ValueError("a region needs at least one player")
         first, last = operator.itemgetter(0), operator.itemgetter(-1)  # each set is sorted
-        if exact and 0 <= min(map(first, canon)) and max(map(last, canon)) < _SHARED_INDEX:
-            canon = _shared(canon, max(map(len, canon)))
-        return cls(tuple(canon))
+        fits = exact and max(map(len, canon)) <= _SHARED_ITEMS and 0 <= min(map(first, canon))
+        fits = fits and max(map(last, canon)).bit_length() <= _SHARED_BITS
+        return cls(tuple(_shared(canon, fits)))
 
     @classmethod
     def full(cls, game: AnyGame) -> "RectRegion":
@@ -563,11 +569,10 @@ class ModifiedGameView:
         than ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
         payoffs are refused before any is built.
         """
+        _check_player_index(self.game, player)  # before the lookup: True == 1
         columns = self._columns.get(player)
         if columns is not None:
             return columns
-        if type(player) is not int or not 0 <= player < self.n_players:
-            raise ValueError(f"the game has no player {player!r}")
         size = self.sizes[player]
         parts = math.prod(map(self.sizes.__getitem__, self.game.opponents(player)))
         if parts > MAX_PROFILES:

@@ -43,6 +43,7 @@ from .model import (
     PaymentPromise,
     Profile,
     RectRegion,
+    _check_player_index,
     _embed,
 )
 from .values import INF, ZERO, ExtValue
@@ -114,13 +115,15 @@ def compute_v(
     zero; desired strategies with no assigned strategies cost nothing. The
     lift is the pointwise max of the chosen options' ``_payment_vectors``,
     built with the assigned strategies as the player's only domain. Returns
-    a total table over the desired region. Assigned strategies must be
-    undesired and targets desired, and desired regions above
-    ``MAX_PROFILES`` profiles are refused before any profile is listed.
+    a total table over the desired region. The player must be an int
+    naming a player, assigned strategies must be undesired and targets
+    desired, and desired regions above ``MAX_PROFILES`` profiles are refused
+    before any profile is listed.
     ``bench/tracing.py`` wraps it by name: remove it only with ROADMAP's
     program-side run statistics item.
     """
     game = _require_normal(game)
+    _check_player_index(game, player)
     region.validate_for(game)
     _refuse_large_region(region)
     targets = region.sets[player]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gimpl import Game, PaymentPromise, RectRegion
+from gimpl import Game, PaymentPromise, RectRegion, model
 
 # every property test draws the same examples on every run (seeded from the
 # test itself, no example database), so whether a property catches a fault
@@ -24,6 +24,19 @@ settings.load_profile("derandomized")
 # ``pythonpath`` setting, with or without an install
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture
+def fresh_shared():
+    """The process's one table of shared model pieces and decoded values,
+    empty for one test and refilled after it, so tests see none of each
+    other's pieces."""
+    table = model._SHARED
+    kept = dict(table)
+    table.clear()
+    yield table
+    table.clear()
+    table.update(kept)
 
 
 @pytest.fixture

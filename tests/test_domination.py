@@ -42,7 +42,10 @@ def test_player_and_strategy_indices_out_of_range_are_refused():
     # player 0 has strategies 0..2; strategy 0 dominates 1 and 2
     game = Game.make(["a", "b"], [["x", "y", "z"], ["u"]], [{(0, 0): 3, (1, 0): 2}, {}])
     view = ModifiedGameView(game)
-    for x, y, bad in [(0, -3, -3), (-3, 1, -3), (0, 3, 3), (3, 1, 3), (True, 2, True)]:
+    for x, y, bad in [
+        (0, -3, -3), (-3, 1, -3), (0, 3, 3), (3, 1, 3), (True, 2, True),
+        (True, 1, True), (1, True, True),  # True == 1: checked before "cannot dominate itself"
+    ]:
         with pytest.raises(ValueError, match=f"^player 0 has no strategy {bad}$"):
             dominates(view, 0, x, y)
     for y in (-2, -1, 3):
@@ -51,9 +54,30 @@ def test_player_and_strategy_indices_out_of_range_are_refused():
     for player in (2, -1, True):
         with pytest.raises(ValueError, match=f"^the game has no player {player}$"):
             undominated(view, player)
-    with pytest.raises(ValueError, match="^the game has no player 2$"):
-        dominates(view, 2, 0, 1)
+    for x, y in [(0, 1), (1, 1)]:
+        with pytest.raises(ValueError, match="^the game has no player 2$"):
+            dominates(view, 2, x, y)
     assert dominates(view, 0, 0, 2) and find_dominator(view, 0, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda view: view.columns(True),
+        lambda view: dominates(view, True, 0, 1),
+        lambda view: undominated(view, True),
+        lambda view: find_dominator(view, True, 1),
+    ],
+    ids=["columns", "dominates", "undominated", "find_dominator"],
+)
+def test_a_bool_player_is_refused_once_the_columns_are_cached(call):
+    # True == 1 and hashes like it, so player 1's cached columns once answered True
+    game = Game.make(["a", "b"], [["x", "y"], ["u", "v"]], [{}, {(0, 0): 1}])
+    view = ModifiedGameView(game)
+    assert dominates(view, 1, 0, 1) and undominated(view, 1) == (0,)
+    assert find_dominator(view, 1, 1) == 0
+    with pytest.raises(ValueError, match="^the game has no player True$"):
+        call(view)
 
 
 def test_find_dominator_refuses_a_bool_before_comparing_it():

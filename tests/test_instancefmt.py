@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gimpl import (
     ExtValue,
     FormatError,
+    Game,
     GraphicalGame,
     InstanceDoc,
     PaymentPromise,
@@ -20,7 +21,7 @@ from gimpl import (
     parse_instance,
     serialize_instance,
 )
-from gimpl import instancefmt
+from gimpl import instancefmt, model
 from gimpl.instancefmt import Tables, _decode_value, decode_json, read_document
 from gimpl.cli import run
 
@@ -268,16 +269,12 @@ def test_duplicate_entries_are_refused(tmp_path):
     assert parse_instance(json.dumps(dict(EX1_DOCUMENT, utilities=twice[:2])))
 
 
-@pytest.fixture
-def fresh_values(monkeypatch):
-    """An empty value cache for one test, so tests see none of each other's
-    values."""
-    cache: dict = {}
-    monkeypatch.setattr(instancefmt, "_DECODED", cache)
-    return cache
+def _values(table):
+    """The raw values the shared table holds, apart from its tuples."""
+    return {raw: ext for raw, ext in table.items() if type(raw) is not tuple}
 
 
-def test_a_value_is_decoded_once_per_process(fresh_values):
+def test_a_value_is_decoded_once_per_process(fresh_shared):
     assert _decode_value("7/3", "utilities") is _decode_value("7/3", "utilities")
     assert _decode_value(5, "utilities") is _decode_value(5, "promise")
     # two documents share the ExtValue of each value they have in common
@@ -285,10 +282,12 @@ def test_a_value_is_decoded_once_per_process(fresh_values):
     second = parse_instance(json.dumps(EX1_DOCUMENT))
     assert first.game.utilities[0][(1, 0)] is second.game.utilities[0][(1, 0)]
     assert first.promise.entries[1][(0, 0)] is second.promise.entries[1][(0, 0)]
-    assert set(fresh_values) == {"7/3", 5, 1, 2, "11/10", "1/10"}
+    values = _values(fresh_shared)
+    assert set(values) == {"7/3", 5, 1, 2, "11/10", "1/10"}
+    assert all(ext == ExtValue(raw) and type(ext) is ExtValue for raw, ext in values.items())
 
 
-def test_a_malformed_value_is_refused_on_every_call_and_never_kept(fresh_values):
+def test_a_malformed_value_is_refused_on_every_call_and_never_kept(fresh_shared):
     _decode_value(1, "utilities")  # True == 1, so a cached 1 must not answer True
     for raw, message in [
         ("1.5", "utilities: malformed rational '1.5'"),
@@ -299,11 +298,11 @@ def test_a_malformed_value_is_refused_on_every_call_and_never_kept(fresh_values)
             with pytest.raises(FormatError) as info:
                 _decode_value(raw, "utilities")
             assert str(info.value) == message
-    assert list(fresh_values) == [1] and type(next(iter(fresh_values))) is int
+    assert list(fresh_shared) == [1] and type(next(iter(fresh_shared))) is int
 
 
-def test_more_distinct_values_than_the_cache_holds(fresh_values):
-    count = instancefmt._DECODED_MAX + 100
+def test_more_distinct_values_than_the_cache_holds(fresh_shared):
+    count = model._SHARED_MAX + 100
     document = {
         "format": "gipf-1",
         "kind": "normal",
@@ -317,17 +316,41 @@ def test_more_distinct_values_than_the_cache_holds(fresh_values):
     assert doc.game.utilities[0] == {
         (k,): ExtValue(f"{k + 1}/7" if k % 2 else k + 1) for k in range(count)
     }
-    assert 0 < len(fresh_values) <= instancefmt._DECODED_MAX
+    assert 0 < len(_values(fresh_shared)) <= len(fresh_shared) <= model._SHARED_MAX
 
 
-def test_long_strings_and_huge_ints_are_not_kept(fresh_values):
-    long_text, huge = "1" * 40 + "/3", 2**70
-    assert _decode_value(long_text, "utilities") == ExtValue(Fraction(int("1" * 40), 3))
+def test_long_strings_and_huge_ints_are_not_kept(fresh_shared):
+    long_text, huge = "1" * (model._SHARED_TEXT + 8) + "/3", 2**70
+    bits = model._SHARED_BITS
+    assert _decode_value(long_text, "utilities") == ExtValue(Fraction(int(long_text[:-2]), 3))
     assert _decode_value(huge, "utilities") == ExtValue(huge)
-    assert _decode_value(-(2**64), "utilities") == ExtValue(-(2**64))
-    assert fresh_values == {}
-    _decode_value(2**64 - 1, "utilities")  # 64 bits: short enough
-    assert list(fresh_values) == [2**64 - 1]
+    assert _decode_value(-(2**bits), "utilities") == ExtValue(-(2**bits))
+    assert fresh_shared == {}
+    _decode_value(2**bits - 1, "utilities")  # 64 bits: short enough
+    assert list(fresh_shared) == [2**bits - 1]
+
+
+def test_a_raw_value_and_a_tuple_never_answer_for_each_other(fresh_shared, monkeypatch):
+    game = Game.make(["a"], [["x", "y"]], [{(1,): 2}])  # keeps ("a",), ("x", "y") and (1,)
+    with pytest.raises(FormatError, match="^utilities: malformed rational 'a'$"):
+        _decode_value("a", "utilities")
+    assert _decode_value(1, "utilities") == ExtValue(1)
+    assert Game.make(["a"], [["x", "y"]], [{(1,): 2}]).players is game.players
+    (key,) = Game.make(["b"], [["x", "y"]], [{(1,): 3}]).utilities[0]
+    assert key is next(iter(game.utilities[0])) and fresh_shared[1] == ExtValue(1)
+    assert set(fresh_shared) == {("a",), ("x", "y"), (1,), 1, ("b",)}
+    # one cap counts both kinds: a batch that could pass it empties the table
+    monkeypatch.setattr(model, "_SHARED_MAX", 4)
+    fresh_shared.clear()
+    for raw in (1, 2, "3/4"):
+        _decode_value(raw, "utilities")
+    RectRegion.make([[0], [1]])  # 3 values + 2 sets > 4
+    assert set(fresh_shared) == {(0,), (1,)}
+    _decode_value(5, "utilities")
+    _decode_value("1", "utilities")
+    assert set(fresh_shared) == {(0,), (1,), 5, "1"}
+    assert _decode_value(6, "utilities") == ExtValue(6)  # 4 + 1 > 4
+    assert set(fresh_shared) == {6}
 
 
 def test_documents_share_their_keys_names_and_region_sets():

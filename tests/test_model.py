@@ -184,15 +184,6 @@ def test_a_negative_payment_in_the_last_players_table_only():
         assert str(made.value) == "negative promise at promise key of player 2 (0, 1, 0)"
 
 
-@pytest.fixture
-def fresh_shared(monkeypatch):
-    """An empty table of shared model pieces for one test, so tests see none
-    of each other's keys."""
-    table: dict = {}
-    monkeypatch.setattr(model, "_SHARED", table)
-    return table
-
-
 def _keys(table):
     return sorted(table, key=list)
 
@@ -240,6 +231,28 @@ def test_a_shared_int_key_does_not_answer_for_a_later_trap(fresh_shared, trap):
         RectRegion.make([[True]])
 
 
+def test_names_that_are_not_strs_are_refused_as_the_reader_refuses_them():
+    # such a game once wrote a document that did not read back
+    for names, strategies, message in [
+        (["p", 3], [["x"], ["y", None]], "player names must be strings, got 3"),
+        (["p", "q"], [["x"], ["y", None]], "strategies of player 'q' must be strings, got None"),
+        ([None, "q"], [[1], ["y"]], "player names must be strings, got None"),
+        (["p", "q"], [["x", 1.5], [["y"]]], "strategies of player 'p' must be strings, got 1.5"),
+    ]:
+        for make in (
+            lambda: Game.make(names, strategies, [{}, {}]),
+            lambda: GraphicalGame.make(names, strategies, [[0, 1]], [{}, {}]),
+        ):
+            with pytest.raises(ValueError) as made:
+                make()
+            assert str(made.value) == message
+        players = [{"name": n, "strategies": s} for n, s in zip(names, strategies)]
+        document = {"format": "gipf-1", "kind": "normal", "players": players}
+        with pytest.raises(FormatError) as read:
+            parse_instance(json.dumps(document))
+        assert str(read.value) == message
+
+
 def test_pieces_of_int_and_str_subclasses_keep_their_own_objects(fresh_shared):
     class Index(int):
         pass
@@ -284,7 +297,7 @@ def test_the_shared_table_never_grows_past_its_cap(fresh_shared, monkeypatch):
 
 
 def test_pieces_above_the_size_limit_are_not_kept(fresh_shared):
-    items, text, index = model._SHARED_ITEMS, model._SHARED_TEXT, model._SHARED_INDEX
+    items, text, index = model._SHARED_ITEMS, model._SHARED_TEXT, 2**model._SHARED_BITS
     wide = items + 1
     names, tables = [f"p{i}" for i in range(wide)], [{(0,) * wide: 1}] + [{}] * items
     game = Game.make(names, [["x"]] * wide, tables)

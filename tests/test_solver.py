@@ -63,6 +63,10 @@ def test_compute_v_validates_assignment(ex1, ex1_region):
         compute_v(ex1, 0, {1: 1}, ex1_region)  # target s2 is not desired
     with pytest.raises(ValueError, match="not an undesired strategy"):
         compute_v(ex1, 0, {7: 0}, ex1_region)  # p1 has no strategy 7
+    # an index naming no player, True (== 1) among them, is refused
+    for player in (True, -1, 2, 5, 1.0):
+        with pytest.raises(ValueError, match=f"^the game has no player {player}$"):
+            compute_v(ex1, player, {}, ex1_region)
     # a region above MAX_PROFILES is refused as the search refuses it
     wide = Game.make([f"p{i}" for i in range(17)], [["a", "b"]] * 17, [None] * 17)
     message = "desired region has 131072 profiles, above the 65536 cap"
