@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .domination import undominated_region
 from .model import MAX_PROFILES, AnyGame, ModifiedGameView, PaymentPromise, RectRegion
-from .values import INF, ZERO, ExtValue
+from .values import INF, ZERO, ExtValue, ValueLike
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,14 @@ def verify(
     game: AnyGame,
     promise: PaymentPromise | None,
     region: RectRegion,
-    budget: ExtValue,
+    budget: ValueLike,
     mode: str = "subset",
 ) -> VerifyReport:
-    """Check whether ``promise`` implements ``region`` within ``budget``."""
+    """Check whether ``promise`` implements ``region`` within ``budget``,
+    read as an ``ExtValue`` (so ``0`` and ``"1/2"`` are budgets too)."""
     if mode not in ("subset", "exact"):
         raise ValueError(f"mode must be 'subset' or 'exact', got {mode!r}")
+    budget = ExtValue(budget)
     region.validate_for(game)
     view = ModifiedGameView(game, promise)
     star = undominated_region(view)

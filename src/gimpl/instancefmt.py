@@ -271,12 +271,9 @@ class EntryList(list):
 def encode_entries(tables: Sequence[Mapping[tuple[int, ...], ExtValue]]) -> EntryList:
     """Per-player sparse tables as the gipf-1 entry list, sorted by player
     and then by key. An entry's profile is the table's own key tuple (JSON
-    renders it as an array), and each distinct value object is converted
-    with ``to_json`` once."""
-    objects = {id(value): value for table in tables for value in table.values()}
-    texts = {key: value.to_json() for key, value in objects.items()}
+    renders it as an array), and its value is the value's ``to_json``."""
     return EntryList(
-        {"player": i, "profile": key, "value": texts[id(value)]}
+        {"player": i, "profile": key, "value": value.to_json()}
         for i, table in enumerate(tables)
         for key, value in sorted(table.items())
     )
@@ -349,9 +346,9 @@ def iter_json(obj: Any) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2)``, in chunks.
 
     Takes dicts with str keys, lists, tuples, str, int, bool and None, matched
-    on exact type; anything else raises TypeError. A list of ints is one
-    chunk, and an ``EntryList`` is one chunk per entry. The entry lists of
-    one call share their cached pieces of text, depth by depth.
+    on exact type; anything else raises TypeError. An ``EntryList`` is one
+    chunk per entry; the entry lists of one call share their cached pieces
+    of text, depth by depth.
     """
     return _render(obj, 0, _Pieces(_entry_pieces))
 
@@ -391,8 +388,6 @@ def _render(obj: Any, depth: int, pieces: _Pieces) -> Iterator[str]:
         yield "[" + next(chunks)[1:]  # the first entry has no comma before it
         yield from chunks
         yield outer + "]"
-    elif set(map(type, obj)) == {int}:
-        yield "[" + inner + f",{inner}".join(map(int.__repr__, obj)) + outer + "]"
     else:
         prefix = "[" + inner
         for item in obj:

@@ -245,12 +245,6 @@ def _check_player_index(game: AnyGame, player: int) -> None:
         raise ValueError(f"the game has no player {player!r}")
 
 
-def _embed(opp: tuple[int, ...], player: int, strategy: int) -> Profile:
-    """The full profile in which ``player`` plays ``strategy`` against the
-    joint choice ``opp`` of all other players."""
-    return opp[:player] + (strategy,) + opp[player:]
-
-
 class _KeyLayout(NamedTuple):
     """What a game derives, once per player, from that player's key players."""
 
@@ -563,11 +557,10 @@ class ModifiedGameView:
         the ints order as the payoffs do.
 
         Built once per player in one pass over the utility, then the promise
-        entries, on the exact numbers of ``ExtValue.exact`` (never floats),
-        each distinct value object converted once; a payment on a utility
-        key adds to it, infinity absorbing. An index naming no player, more
-        than ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
-        payoffs are refused before any is built.
+        entries, on the exact numbers of ``ExtValue.exact`` (never floats);
+        a payment on a utility key adds to it, infinity absorbing. An index
+        naming no player, more than ``MAX_PROFILES`` opponent profiles, or
+        more than ``MAX_PAYOFFS`` payoffs are refused before any is built.
         """
         _check_player_index(self.game, player)  # before the lookup: True == 1
         columns = self._columns.get(player)
@@ -589,12 +582,9 @@ class ModifiedGameView:
         tables = [self._tables[player]]
         if self.promise is not None:
             tables.append(self.promise.entries[player])
-        exact: dict[int, int | Fraction | None] = {}  # by id of each value object
         numbers: dict[tuple[int, ...], int | Fraction | None] = {}  # None: infinity
         for key, value in itertools.chain.from_iterable(map(dict.items, tables)):
-            number = exact.get(id(value), exact)  # the dict itself marks a first sight
-            if number is exact:
-                number = exact[id(value)] = value.exact
+            number = value.exact
             if number is not None and key in numbers:  # a payment on a utility
                 number += numbers[key]
             numbers[key] = number

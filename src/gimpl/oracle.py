@@ -28,7 +28,6 @@ from .model import (
     PaymentPromise,
     Profile,
     RectRegion,
-    _embed,
 )
 from .solver import DominatorMapping
 from .values import INF, ZERO, ExtValue
@@ -85,7 +84,7 @@ def _off_region_infinities(game: Game, region: RectRegion, player: int) -> dict[
         if all(s in desired_sets[j] for s, j in zip(opp, opp_players)):
             continue
         for o_i in region.sets[player]:
-            table[_embed(opp, player, o_i)] = INF
+            table[game.key_of(player, o_i, opp)] = INF
     return table
 
 
@@ -98,11 +97,11 @@ def _promise_for(game: Game, region: RectRegion, mapping: DominatorMapping) -> P
             preimage = mapping.preimage(i, o_i)
             if preimage:
                 for opp in itertools.product(*(region.sets[j] for j in opp_players)):
-                    profile = _embed(opp, i, o_i)
+                    profile = game.key_of(i, o_i, opp)
                     base = game.utility(i, profile)
                     lift = ZERO
                     for x in preimage:
-                        gap = game.utility(i, _embed(opp, i, x)) - base
+                        gap = game.utility(i, game.key_of(i, x, opp)) - base
                         if lift < gap:
                             lift = gap
                     if lift != ZERO:

@@ -301,10 +301,10 @@ def decode_cover_2p(game: Game, promise: PaymentPromise) -> tuple[int, ...]:
     for the column player."""
     inst, pair_index = _parse_x3c_strategies(game)
     region = RectRegion.make([sorted(pair_index.values())] * 2)
-    if not verify(game, promise, region, ZERO, "subset").holds:
+    report = verify(game, promise, region, ZERO, "subset")
+    if not report.holds:
         raise ValueError("promise does not implement the desired region at budget 0")
-    view = ModifiedGameView(game, promise)
-    survivors = set(undominated(view, 1))
+    survivors = set(report.undominated_region.sets[1])
     cover = sorted({j for (i, j), idx in pair_index.items() if idx in survivors})
     return validate_cover(inst, cover)
 

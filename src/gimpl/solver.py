@@ -22,7 +22,8 @@ Everything operates on normal-form games; expand graphical games first. The
 search, ``compute_v``, ``exactify`` and ``pne_promise`` refuse desired
 regions above ``MAX_PROFILES`` (65,536) profiles before they list any, the
 same cap ``verify`` and ``cost`` apply to the regions they sum payments
-over.
+over; ``is_pne`` refuses a player with undesired strategies whose opponent
+profiles in the region pass that cap, before it compares any payoff.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .model import (
     Profile,
     RectRegion,
     _check_player_index,
-    _embed,
 )
 from .values import INF, ZERO, ExtValue
 
@@ -172,7 +172,7 @@ def _payment_vectors(
             gaps = []
             for idx in block:
                 o = desired_profiles[idx]
-                gap = (utility(_embed(o[:i] + o[i + 1 :], i, x), ZERO) - utility(o, ZERO)).fraction
+                gap = (utility(o[:i] + (x,) + o[i + 1 :], ZERO) - utility(o, ZERO)).fraction
                 if gap > 0:
                     gaps.append((idx, gap))
             options.append(gaps)
@@ -470,10 +470,20 @@ def is_pne(game: "AnyGame | ModifiedGameView", region: RectRegion) -> PneReport:
     is never worse against desired opponent play.
 
     For graphical views the opponent play ranges over the region restricted
-    to the neighborhood.
+    to the neighborhood. A player with undesired strategies and more than
+    ``MAX_PROFILES`` opponent profiles in the region (joint choices of
+    ``game.opponents``) is refused before any payoff is compared.
     """
     view = _as_view(game)
     region.validate_for(view.game)
+    for i in range(view.n_players):
+        if len(region.sets[i]) < view.sizes[i]:
+            count = math.prod(len(region.sets[j]) for j in view.game.opponents(i))
+            if count > MAX_PROFILES:
+                raise ValueError(
+                    f"player {i} has {count} opponent profiles in the region, above the "
+                    f"{MAX_PROFILES} cap on the stability check"
+                )
     assignments: list[tuple[int, int, int]] = []
     for i in range(view.n_players):
         for x in region.complement(view.game, i):

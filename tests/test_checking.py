@@ -10,6 +10,7 @@ from gimpl import (
     INF,
     ZERO,
     ExtValue,
+    Game,
     ModifiedGameView,
     PaymentPromise,
     RectRegion,
@@ -74,6 +75,30 @@ def test_budget_decoupling(ex1, ex1_promise, ex1_region):
     tight = verify(ex1, ex1_promise, ex1_region, ExtValue(1), "subset")
     assert not tight.holds
     assert tight.violation is None  # region fine, budget exceeded
+
+
+def test_verify_reads_the_budget_as_an_extvalue(ex1, ex1_promise, ex1_region):
+    # an int or a "p/q" string is a budget too, and the report carries the
+    # ExtValue the CLI renders
+    report = verify(ex1, None, ex1_region, 0)
+    assert report.budget == ZERO and report.budget.to_json() == 0
+    for budget, holds in [("1/2", False), ("11/10", True), (2, True)]:
+        report = verify(ex1, ex1_promise, ex1_region, budget)
+        assert report.holds is holds
+        assert report.budget == ExtValue(budget)
+
+
+def test_cost_refuses_an_undominated_region_above_the_cap():
+    # no utilities: every one of 41 strategies per player survives, so the
+    # undominated region has 41^3 profiles; each player's dominance is in range
+    game = Game.make(["a", "b", "c"], [[f"s{k}" for k in range(41)]] * 3, [{}] * 3)
+    message = "cost needs the 68921 profiles of the undominated region, above the 65536 cap"
+    with pytest.raises(ValueError) as refused:
+        cost(game, None)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        verify(game, None, RectRegion.full(game), INF)
+    assert str(refused.value) == message
 
 
 def test_verify_rejects_shape_mismatch(ex1):

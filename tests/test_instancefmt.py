@@ -132,6 +132,12 @@ def test_malformed_documents():
     ]:
         with pytest.raises(FormatError, match=message):
             parse_instance(json.dumps(dict(EX1_DOCUMENT, region={"sets": sets})))
+    for region in ([[0], [0]], 5, {"set": [[0], [0]]}):
+        with pytest.raises(FormatError, match="region must be an object with a sets list"):
+            parse_instance(json.dumps(dict(EX1_DOCUMENT, region=region)))
+    for budget in (-1, "-1/2", " -3 "):
+        with pytest.raises(FormatError, match="^negative budget$"):
+            parse_instance(json.dumps(dict(EX1_DOCUMENT, budget=budget)))
     # player and strategy names are JSON strings, never converted with str()
     named = EX1_DOCUMENT["players"]
     for players, message in [

@@ -386,6 +386,8 @@ def test_zero_entries_are_dropped():
 def test_region_validation():
     with pytest.raises(ValueError, match="empty desired set"):
         RectRegion.make([[0], []])
+    with pytest.raises(ValueError, match="^a region needs at least one player$"):
+        RectRegion.make([])
     region = RectRegion.make([[2, 0, 2]])
     assert region.sets == ((0, 2),)
     game = Game.make(["p1"], [["a", "b"]], [{}])
@@ -404,6 +406,9 @@ def test_promise_rejects_negative_values():
     game = Game.make(["p1"], [["a", "b"]], [{}])
     with pytest.raises(ValueError, match="negative promise"):
         PaymentPromise.make(game, [{(0,): -1}])
+    for tables in ([], [{}, {}]):
+        with pytest.raises(ValueError, match="^one promise table per player is required$"):
+            PaymentPromise.make(game, tables)
     promise = PaymentPromise.make(game, [{(0,): 0, (1,): "inf"}])
     assert promise.value(0, (0,)) == ZERO
     assert promise.value(0, (1,)) == INF
@@ -427,6 +432,10 @@ def test_promise_kind_must_match_game(ex1):
     graphical_promise = PaymentPromise.make(gg, [{}, {}])
     with pytest.raises(ValueError, match="kind"):
         ModifiedGameView(ex1, graphical_promise)
+    # a promise of the right kind for another number of players
+    one_player = PaymentPromise.make(Game.make(["p1"], [["a", "b"]], [{}]), [{}])
+    with pytest.raises(ValueError, match="^promise and game disagree on the number of players$"):
+        ModifiedGameView(ex1, one_player)
 
 
 def test_graphical_game_validation():

@@ -1,5 +1,6 @@
 """Minimum-budget search, exactification, and the zero-cost characterization."""
 
+import math
 import random
 import subprocess
 import sys
@@ -481,6 +482,40 @@ def test_pne_promise_pairs_the_check_with_the_free_promise(ce1):
             pne_promise(game, region)
         assert str(refused.value).endswith("profiles, above the 65536 cap")
     assert not is_pne(game, RectRegion.make([list(range(1, 300))] * 2)).holds
+
+
+def test_is_pne_refuses_a_wide_opponent_space_in_the_region_first():
+    # 21 players with two strategies each, no utilities and region
+    # {0} x {0, 1}^20: player 0's undesired strategy would be compared
+    # against 2^20 opponent profiles
+    n = 21
+    game = Game.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [{}] * n)
+    region = RectRegion.make([[0]] + [[0, 1]] * (n - 1))
+    with time_limit(0.5, "is_pne"), pytest.raises(ValueError) as refusal:
+        is_pne(game, region)
+    assert str(refusal.value) == (
+        "player 0 has 1048576 opponent profiles in the region, above the 65536 cap on the "
+        "stability check"
+    )
+    # at the cap it is answered, and players with nothing undesired are not
+    # counted: each of the 16 two-strategy players has 3 * 2^15 such profiles
+    n = 17
+    game = Game.make(
+        [f"p{i}" for i in range(n)], [["a", "b", "c", "d"]] + [["a", "b"]] * (n - 1), [{}] * n
+    )
+    report = is_pne(game, RectRegion.make([[0, 1, 2]] + [[0, 1]] * (n - 1)))
+    assert report.holds and report.assignments == ((0, 3, 0),)
+
+
+def test_is_pne_counts_only_the_neighbors_of_a_graphical_view():
+    from gimpl.reductions import gen_x3c, x3c_to_graphical
+
+    # 262,144 region profiles, but each element player has 3 set neighbors
+    gg, region, _ = x3c_to_graphical(gen_x3c(6, 0, "yes"))
+    assert math.prod(map(len, region.sets)) == 2**18
+    with time_limit(0.1, "is_pne on a graphical n_hat = 6 game"):
+        report = is_pne(gg, region)
+    assert report.holds is False
 
 
 def test_is_pne_graphical_agrees_with_expansion():

@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gimpl.instancefmt import EntryList, StreamingEncoder, iter_json
@@ -55,6 +55,17 @@ VALUES = st.recursive(
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(VALUES)
+# int lists take the generic list path, alone, nested and beside entries
+@example([])
+@example([0])
+@example([-1, 10**20])
+@example({"sets": [[0, 1], [2]]})
+@example(
+    {
+        "utilities": EntryList([{"player": 0, "profile": (1, 2), "value": "1/2"}]),
+        "edges": [0, 1],
+    }
+)
 def test_writer_matches_the_stdlib(value):
     expected = json.dumps(value, indent=2)
     assert "".join(iter_json(value)) == expected
