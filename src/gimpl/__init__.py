@@ -6,80 +6,42 @@ minimum-budget search and exactification in :mod:`gimpl.solver`,
 definition-level cross-checks in :mod:`gimpl.oracle`, and the hardness
 constructions in :mod:`gimpl.reductions`.
 
-The oracle's names are served on first use (``__getattr__``), so importing
-the package does not load :mod:`gimpl.oracle`.
+``_HOMES`` lists each public name once, under the module that defines it.
+Importing the package loads none of those modules: a public name, or one of
+the modules, is imported on first use (``__getattr__``) and kept in the
+package namespace, so later lookups are plain attribute reads.
 """
 
-from .checking import VerifyReport, cost, verify
-from .domination import dominates, find_dominator, undominated, undominated_region
-from .instancefmt import FormatError, InstanceDoc, parse_instance, serialize_instance
-from .model import (
-    Game,
-    GraphicalGame,
-    ModifiedGameView,
-    PaymentPromise,
-    RectRegion,
-    expand_graphical,
-    expand_graphical_promise,
-)
-from .solver import (
-    DominatorMapping,
-    PneReport,
-    SolveResult,
-    compute_v,
-    exactify,
-    is_equitable,
-    is_pne,
-    min_budget_solve,
-    pne_promise,
-    solve_exact,
-)
-from .values import INF, ZERO, ExtValue
+import importlib
 
-_ORACLE_NAMES = ("OracleResult", "oracle_min_budget", "oracle_zero_cost")
+_HOMES = {
+    "checking": ("VerifyReport", "cost", "verify"),
+    "domination": ("dominates", "find_dominator", "undominated", "undominated_region"),
+    "instancefmt": ("FormatError", "InstanceDoc", "parse_instance", "serialize_instance"),
+    "model": (
+        "Game", "GraphicalGame", "ModifiedGameView", "PaymentPromise", "RectRegion",
+        "expand_graphical", "expand_graphical_promise",
+    ),
+    "oracle": ("OracleResult", "oracle_min_budget", "oracle_zero_cost"),
+    "solver": (
+        "DominatorMapping", "PneReport", "SolveResult", "compute_v", "exactify",
+        "is_equitable", "is_pne", "min_budget_solve", "pne_promise", "solve_exact",
+    ),
+    "values": ("INF", "ZERO", "ExtValue"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME_OF)
 
 
 def __getattr__(name: str) -> object:
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    if name in _HOMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME_OF[name]}"), name)
+    globals()[name] = value
+    return value
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__all__ = [
-    "DominatorMapping",
-    "ExtValue",
-    "FormatError",
-    "Game",
-    "GraphicalGame",
-    "INF",
-    "InstanceDoc",
-    "ModifiedGameView",
-    "OracleResult",
-    "PaymentPromise",
-    "PneReport",
-    "RectRegion",
-    "SolveResult",
-    "VerifyReport",
-    "ZERO",
-    "compute_v",
-    "cost",
-    "dominates",
-    "exactify",
-    "expand_graphical",
-    "expand_graphical_promise",
-    "find_dominator",
-    "is_equitable",
-    "is_pne",
-    "min_budget_solve",
-    "oracle_min_budget",
-    "oracle_zero_cost",
-    "parse_instance",
-    "pne_promise",
-    "serialize_instance",
-    "solve_exact",
-    "undominated",
-    "undominated_region",
-    "verify",
-]
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,11 +6,14 @@ payoff by payoff through ``ModifiedGameView.payoff`` and re-sums worst-case
 payments directly over the desired region, so its agreement with the
 solver's search is independent evidence.
 
-``oracle_zero_cost`` builds its promise here too, but decides through
-``checking.verify``: the same dominance on the view's rank columns that
-``gimpl verify`` reads. So criterion 06 (``is_pne == oracle_zero_cost ==
-(delta == 0)``) cross-checks the payoff-by-payoff stability test and the
-search's price against that verifier, not against a second one.
+``oracle_verify`` judges a promise the same way from the definition of
+cost: each player's undominated set from payoff-by-payoff dominance over all
+pairs, and the largest payment total over the product of those sets. It
+shares no code with ``checking.verify`` and only returns its report type.
+``oracle_zero_cost`` builds its promise here and decides through
+``oracle_verify``, so criterion 06 (``is_pne == oracle_zero_cost ==
+(delta == 0)``) cross-checks the stability test and the search's price
+against a second verifier.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .checking import verify
+from .checking import VerifyReport
 from .model import (
     MAX_PROFILES,
     Game,
@@ -30,7 +33,7 @@ from .model import (
     RectRegion,
 )
 from .solver import DominatorMapping
-from .values import INF, ZERO, ExtValue
+from .values import INF, ZERO, ExtValue, ValueLike
 
 MAX_MAPPINGS = 10**6
 
@@ -60,6 +63,18 @@ def _refuse_wide(game: Game) -> None:
                 f"player {i} has {count} opponent profiles, above the {MAX_PROFILES} "
                 "cap on the oracle's enumeration"
             )
+
+
+def _refuse_large(game: Game) -> None:
+    """``_refuse_wide``, then refuse a game with more than ``MAX_PROFILES``
+    profiles, before any of them is enumerated."""
+    _refuse_wide(game)
+    count = math.prod(game.sizes)
+    if count > MAX_PROFILES:
+        raise ValueError(
+            f"the game has {count} profiles, above the {MAX_PROFILES} cap on the oracle's "
+            "enumeration"
+        )
 
 
 def _dominates_by_definition(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
@@ -173,19 +188,73 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
     )
 
 
+def oracle_verify(
+    game: Game,
+    promise: PaymentPromise | None,
+    region: RectRegion,
+    budget: ValueLike,
+    mode: str = "subset",
+) -> VerifyReport:
+    """``checking.verify`` re-derived from the definitions.
+
+    A strategy is undominated when no other strategy of its player dominates
+    it payoff by payoff; the cost is the largest sum of the promised payments
+    over the product of the undominated sets. The violation is the first
+    (player, strategy) in index order that is undominated but undesired or,
+    in exact mode, also desired but dominated. ``_refuse_large`` refuses
+    oversized games before any payoff is read.
+    """
+    if mode not in ("subset", "exact"):
+        raise ValueError(f"mode must be 'subset' or 'exact', got {mode!r}")
+    budget = ExtValue(budget)
+    game = _require_normal(game)
+    region.validate_for(game)
+    _refuse_large(game)
+    view = ModifiedGameView(game, promise)
+    kept_sets = []
+    violation: tuple[int, int] | None = None
+    for i, size in enumerate(game.sizes):
+        kept = [
+            y for y in range(size)
+            if not any(_dominates_by_definition(view, i, x, y) for x in range(size) if x != y)
+        ]
+        kept_sets.append(kept)
+        desired = set(region.sets[i])
+        wrong = set(kept) ^ desired if mode == "exact" else set(kept) - desired
+        if wrong and violation is None:
+            violation = (i, min(wrong))
+    worst = ZERO
+    if promise is not None:
+        for profile in itertools.product(*kept_sets):
+            total: ExtValue = ZERO
+            for i in range(game.n_players):
+                total = total + promise.value(i, profile)
+            if worst < total:
+                worst = total
+    return VerifyReport(
+        mode=mode,
+        holds=violation is None and worst <= budget,
+        undominated_region=RectRegion.make(kept_sets),
+        cost=worst,
+        budget=budget,
+        violation=violation,
+    )
+
+
 def oracle_zero_cost(game: Game, region: RectRegion) -> bool:
     """Whether the full desired region implements itself at budget 0: build
-    the pay-infinity-off-region promise and verify it at budget 0.
+    the pay-infinity-off-region promise and judge it with ``oracle_verify``
+    at budget 0.
 
     This is the same full-region test as ``is_pne`` (criterion 06), with the
-    promise built from first principles and the decision left to ``verify``.
+    promise built and judged from first principles.
     It does not decide zero-cost implementability: a region can still be
     implemented at zero cost through a smaller undominated sub-region, which
     this check never tries.
     """
     game = _require_normal(game)
     region.validate_for(game)
-    _refuse_wide(game)
+    _refuse_large(game)
     tables = [_off_region_infinities(game, region, i) for i in range(game.n_players)]
     promise = PaymentPromise.make(game, tables)
-    return verify(game, promise, region, ZERO, "subset").holds
+    return oracle_verify(game, promise, region, ZERO).holds

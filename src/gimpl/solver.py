@@ -10,16 +10,24 @@ or the cheapest option of one of its open digits reaches the best price
 found, and only strict improvements count, so it returns the same
 assignment as a full scan in enumeration order. That price, ``delta``, is
 taken over the whole desired region, while cost binds only on the
-undominated region, so ``delta`` is an upper bound on the minimum cost and
-can exceed the verified cost of the returned promise. A big-M rewrite then
+undominated region, so when the returned promise verifies, ``delta`` is an
+upper bound on the minimum cost and can exceed the promise's verified cost.
+The exception is a region that leaves exactly one player undesired
+strategies (see ``min_budget_solve``): the promise can then fail ``verify``
+with cost infinity, and the least cost can be an infimum that no promise
+attains, so no promise need cost as little as ``delta``. A big-M rewrite then
 turns any implementation into an exact one on region shapes that leave
 every desired strategy a private off-region profile. The stability check
 ``is_pne`` decides whether the full desired region prices at
 ``delta = 0``; a region can still be implementable at zero cost without
 passing it.
 
-Everything operates on normal-form games; expand graphical games first. The
-search, ``compute_v``, ``exactify`` and ``pne_promise`` refuse desired
+The search, ``compute_v``, ``exactify`` and ``solve_exact`` take
+normal-form games only; expand graphical games first. ``is_equitable``,
+``is_pne`` and ``pne_promise`` also take graphical games, and the last two a
+``ModifiedGameView`` of either kind, as ``gimpl pne`` passes them: they read
+each player's payoffs against its neighbours only. The search,
+``compute_v``, ``exactify`` and ``pne_promise`` refuse desired
 regions above ``MAX_PROFILES`` (65,536) profiles before they list any, the
 same cap ``verify`` and ``cost`` apply to the regions they sum payments
 over; ``is_pne`` refuses a player with undesired strategies whose opponent

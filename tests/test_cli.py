@@ -161,6 +161,47 @@ def test_only_oracle_runs_import_the_oracle(tmp_path, ex1, ex1_region):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_package_loads_a_module_on_first_use_only():
+    # a bare import loads no submodule and still resolves a module name; a
+    # parse loads the model and the reader, not the solver, checking or dominance
+    script = (
+        "import sys, gimpl\n"
+        "loaded = lambda: {m for m in sys.modules if m.startswith('gimpl.')}\n"
+        "assert loaded() == set(), loaded()\n"
+        "assert gimpl.model.MAX_PROFILES == 2**16\n"
+        "doc = gimpl.parse_instance(sys.argv[1])\n"
+        "assert {'gimpl.solver', 'gimpl.checking', 'gimpl.domination'}.isdisjoint(loaded())\n"
+        "assert gimpl.Game is gimpl.model.Game\n"
+    )
+    text = serialize_instance(InstanceDoc(game=Game.make(["a"], [["x"]], [{}])))
+    proc = subprocess.run([sys.executable, "-c", script, text], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    # dir lists every name before any is loaded; each name is read through
+    # the package first, so the lazy path serves it, and must be the very
+    # object its defining module holds
+    script = (
+        "import sys, gimpl\n"
+        "assert set(gimpl.__all__) <= set(dir(gimpl))\n"
+        "for name in gimpl.__all__:\n"
+        "    value = getattr(gimpl, name)\n"
+        "    home = value.__module__\n"
+        "    assert home.startswith('gimpl.'), (name, home)\n"
+        "    assert value is getattr(sys.modules[home], name), name\n"
+        "    assert vars(gimpl)[name] is value, name\n"
+        "try:\n"
+        "    gimpl.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert str(exc) == \"module 'gimpl' has no attribute 'no_such_name'\", exc\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name resolved')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_malformed_edge_exits_with_one_line_error(tmp_path):
     document = {
         "format": "gipf-1",

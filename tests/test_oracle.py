@@ -5,17 +5,27 @@ import random
 import pytest
 
 from gimpl import (
+    INF,
     ZERO,
     ExtValue,
     Game,
+    GraphicalGame,
+    ModifiedGameView,
     RectRegion,
+    expand_graphical,
+    expand_graphical_promise,
     is_pne,
     min_budget_solve,
     oracle_min_budget,
     oracle_zero_cost,
+    verify,
 )
+from gimpl.oracle import oracle_verify
 
-from _support import random_game, random_region
+from _support import mixed_utility, random_game, random_graphical, random_promise, random_region
+
+# budgets on both sides of typical costs, fractional and infinite ones included
+BUDGETS = (ZERO, ExtValue("1/2"), ExtValue(2), ExtValue("11/3"), INF)
 
 
 def test_oracle_worked_example_landscape(ex1, ex1_region):
@@ -104,3 +114,72 @@ def test_oracle_refuses_wide_games_before_enumerating(oracle):
     game = Game.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [None] * n)
     with pytest.raises(ValueError, match="player 0 has 131072 opponent profiles"):
         oracle(game, RectRegion.make([[0]] * n))
+
+
+def test_oracle_verify_equals_verify_on_random_promises():
+    rng = random.Random(313131)
+    kinds = set()
+    for _ in range(150):
+        game = random_game(rng, value=mixed_utility)
+        promise = random_promise(rng, game) if rng.random() < 0.9 else None
+        region = random_region(rng, game)
+        budget = rng.choice(BUDGETS)
+        for mode in ("subset", "exact"):
+            expected = verify(game, promise, region, budget, mode)
+            assert oracle_verify(game, promise, region, budget, mode) == expected
+            kinds.add((expected.holds, expected.cost.is_finite, expected.violation is None))
+    # held and failed, finite and infinite costs, with and without violations
+    assert len(kinds) >= 5
+
+
+def test_oracle_verify_on_the_expansion_equals_verify_on_a_graphical_game():
+    rng = random.Random(424242)
+    for _ in range(40):
+        gg = random_graphical(rng, value=mixed_utility)
+        promise = random_promise(rng, gg)
+        region = random_region(rng, gg)
+        budget = rng.choice(BUDGETS)
+        game, flat = expand_graphical(gg), expand_graphical_promise(gg, promise)
+        for mode in ("subset", "exact"):
+            assert oracle_verify(game, flat, region, budget, mode) == verify(
+                gg, promise, region, budget, mode
+            )
+
+
+def test_the_oracle_reads_no_rank_column(monkeypatch):
+    # verify's dominance compares the view's rank columns; the oracle's
+    # verdicts must come from payoffs alone
+    rng = random.Random(535353)
+    cases = []
+    for _ in range(30):
+        game = random_game(rng, value=mixed_utility)
+        region = random_region(rng, game)
+        promise = random_promise(rng, game)
+        cases.append((game, region, promise, verify(game, promise, region, 1, "exact"),
+                      is_pne(game, region).holds))
+
+    def unavailable(self, player):
+        raise AssertionError("rank columns read")
+
+    monkeypatch.setattr(ModifiedGameView, "columns", unavailable)
+    for game, region, promise, expected, stable in cases:
+        assert oracle_verify(game, promise, region, 1, "exact") == expected
+        assert oracle_zero_cost(game, region) == stable
+
+
+def test_oracle_verify_refuses_what_it_cannot_enumerate():
+    gg = GraphicalGame.make(["a", "b"], [["x"], ["y"]], [], [{}, {}])
+    with pytest.raises(ValueError, match="expand the graphical game first"):
+        oracle_verify(gg, None, RectRegion.make([[0], [0]]), ZERO)
+    # 3 players of 41 strategies: 1,681 opponent profiles each, 68,921 profiles
+    game = Game.make(["a", "b", "c"], [[f"s{k}" for k in range(41)]] * 3, [None] * 3)
+    with pytest.raises(ValueError, match="the game has 68921 profiles, above the 65536 cap"):
+        oracle_verify(game, None, RectRegion.make([[0]] * 3), ZERO)
+    with pytest.raises(ValueError, match="the game has 68921 profiles, above the 65536 cap"):
+        oracle_zero_cost(game, RectRegion.make([[0]] * 3))
+    # 18 two-strategy players: 2^17 opponent profiles each
+    game = Game.make([f"p{i}" for i in range(18)], [["a", "b"]] * 18, [None] * 18)
+    with pytest.raises(ValueError, match="player 0 has 131072 opponent profiles"):
+        oracle_verify(game, None, RectRegion.make([[0]] * 18), ZERO)
+    with pytest.raises(ValueError, match="mode must be 'subset' or 'exact'"):
+        oracle_verify(game, None, RectRegion.make([[0]] * 18), ZERO, "strict")
