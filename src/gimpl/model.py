@@ -43,7 +43,9 @@ LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical ga
 # the solver prices, and of opponent profiles of one player that dominance
 # and the solver's off-region payments range over.
 MAX_PROFILES = 2**16
-# Largest number of payoffs a view lays out in columns for one player.
+# Largest number of payoffs a view lays out in columns for one player, of
+# payment-vector entries the solver builds for all players' options, and of
+# payoff reads the stability check ``is_pne`` may make.
 MAX_PAYOFFS = 2**22
 
 # One table for the process, shared by every model it builds: checked table

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .checking import verify
-from .domination import dominates, undominated
+from .domination import dominates
 from .model import (
     Game,
     GraphicalGame,
@@ -397,10 +397,10 @@ def decode_cover_graphical(
         triples.append(tuple(sorted(game.neighborhoods[p])))
     inst = X3CInstance.make(n_hat, triples)
 
-    view = ModifiedGameView(game, promise)
+    _, region, _ = x3c_to_graphical(inst)
+    report = verify(game, promise, region, budget, "subset")
     cover = []
-    for j in range(len(triples)):
-        survivors = undominated(view, n + j)
+    for j, survivors in enumerate(report.undominated_region.sets[n:]):
         if len(survivors) != 1:
             raise ValueError(
                 f"set player C{j} has both strategies undominated; "
@@ -408,8 +408,7 @@ def decode_cover_graphical(
             )
         if survivors[0] == T_INDEX:
             cover.append(j)
-    _, region, _ = x3c_to_graphical(inst)
-    if not verify(game, promise, region, budget, "subset").holds:
+    if not report.holds:
         raise ValueError("promise does not implement the desired region within budget")
     return validate_cover(inst, cover)
 

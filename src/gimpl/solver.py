@@ -8,7 +8,9 @@ an exact branch and bound over the assignment digits in integer arithmetic
 a branch is dropped by one test, as soon as the price of its fixed digits
 or the cheapest option of one of its open digits reaches the best price
 found, and only strict improvements count, so it returns the same
-assignment as a full scan in enumeration order. That price, ``delta``, is
+assignment as a full scan in enumeration order. It is bounded by its work,
+not by the size of its space: past ``MAX_SEARCH_WORK`` entry reads it stops
+with an error that brackets the least price. That price, ``delta``, is
 taken over the whole desired region, while cost binds only on the
 undominated region, so when the returned promise verifies, ``delta`` is an
 upper bound on the minimum cost and can exceed the promise's verified cost.
@@ -30,8 +32,11 @@ each player's payoffs against its neighbours only. The search,
 ``compute_v``, ``exactify`` and ``pne_promise`` refuse desired
 regions above ``MAX_PROFILES`` (65,536) profiles before they list any, the
 same cap ``verify`` and ``cost`` apply to the regions they sum payments
-over; ``is_pne`` refuses a player with undesired strategies whose opponent
-profiles in the region pass that cap, before it compares any payoff.
+over; the search and ``compute_v`` refuse option vectors above
+``MAX_PAYOFFS`` (2^22) entries in all before they build any. ``is_pne``
+refuses a player with undesired strategies whose opponent profiles in the
+region pass ``MAX_PROFILES``, and a check of more than ``MAX_PAYOFFS``
+payoff reads, before it compares any payoff.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from typing import Mapping, Sequence
 
 from .checking import _max_payment_over, verify
 from .model import (
+    MAX_PAYOFFS,
     MAX_PROFILES,
     AnyGame,
     Game,
@@ -56,11 +62,11 @@ from .model import (
 )
 from .values import INF, ZERO, ExtValue
 
-# Default refusal threshold for the assignment search, which bounds its
-# worst-case time (its memory does not grow with the space). It counts the
-# raw space before pruning, so it also refuses some instances the branch and
-# bound would finish quickly.
-MAX_ASSIGNMENTS = 10**6
+# Work budget of the assignment search, in payment-vector entries its pruning
+# tests may read (see ``_scan_assignments``). Completed searches of the
+# benchmark corpora and of dense two-player games with 16-32 strategies per
+# player read fewer than 2^26.
+MAX_SEARCH_WORK = 2**27
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,9 @@ def compute_v(
     built with the assigned strategies as the player's only domain. Returns
     a total table over the desired region. The player must be an int
     naming a player, assigned strategies must be undesired and targets
-    desired, and desired regions above ``MAX_PROFILES`` profiles are refused
-    before any profile is listed.
+    desired; desired regions above ``MAX_PROFILES`` profiles, and option
+    vectors above ``MAX_PAYOFFS`` entries in all, are refused before any
+    profile is listed.
     ``bench/tracing.py`` wraps it by name: remove it only with ROADMAP's
     program-side run statistics item.
     """
@@ -143,6 +150,7 @@ def compute_v(
             raise ValueError(f"target {target} of player {player} is not desired")
     domain = tuple(sorted(assignment))
     domains = [domain if i == player else () for i in range(game.n_players)]
+    _refuse_large_vectors(region, domains)
     desired_profiles, per_player, scale, _ = _payment_vectors(game, region, domains)
     options = per_player[player]
     lift = [0] * len(desired_profiles)
@@ -228,9 +236,17 @@ def _scan_assignments(
     options combine by pointwise max. A leaf that passes the test is a
     strict improvement, so the first optimum in enumeration order is the one
     returned. Players with one desired strategy have nothing to choose and
-    enter as a constant. ``bench/tracing.py`` wraps it by name and reads
-    ``start`` and ``stop`` positionally: change that only with ROADMAP's
-    program-side run statistics item.
+    enter as a constant.
+
+    Each option tried at depth ``d`` counts ``(n_digits - d)`` times the
+    number of desired profiles toward ``MAX_SEARCH_WORK``, an upper bound on
+    the entries its pruning test reads. A search that passes the budget
+    raises ``ValueError`` naming the nodes tried and the bracket [L, U]: U
+    is the best price found, and L is the root bound, the largest of
+    ``base`` and of each digit's cheapest option laid on ``base``, which no
+    assignment undercuts. ``bench/tracing.py`` wraps this function by name
+    and reads ``start`` and ``stop`` positionally: change that only with
+    ROADMAP's program-side run statistics item.
     """
     domains = [region.complement(game, i) for i in range(game.n_players)]
     desired_profiles, per_player, scale, blocks = _payment_vectors(game, region, domains)
@@ -269,7 +285,18 @@ def _scan_assignments(
             for option, block in zip(slots[i][slot], blocks[i])
         )
 
+    def stopped(nodes: int) -> ValueError:
+        """The refusal of a search that passed its work budget."""
+        lower = max([max(base)] + [cheapest(e, base) for e in range(n_digits)])
+        return ValueError(
+            f"assignment search passed its work budget of {MAX_SEARCH_WORK} entry reads "
+            f"after {nodes} nodes; the least price lies in "
+            f"[{Fraction(lower, scale)}, {Fraction(best, scale)}]"
+        )
+
     n_digits = len(digits)
+    entries = len(desired_profiles)
+    work = nodes = 0
     best_chosen = [0] * n_digits
     tried = [0] * n_digits  # per depth: the options tried, the last one chosen
     dones = [base] * n_digits  # per depth: the payments of finished players
@@ -283,6 +310,10 @@ def _scan_assignments(
             d -= 1
             continue
         tried[d] = k + 1
+        nodes += 1
+        work += (n_digits - d) * entries  # at most what the test below reads
+        if work > MAX_SEARCH_WORK:
+            raise stopped(nodes)
         cur = _pointwise_max(curs[d], choices[k])
         total = [a + c for a, c in zip(dones[d], cur)]
         if max(total) >= best or any(
@@ -317,6 +348,16 @@ def _refuse_large_region(region: RectRegion) -> None:
         raise ValueError(f"desired region has {count} profiles, above the {MAX_PROFILES} cap")
 
 
+def _refuse_large_vectors(region: RectRegion, domains: Sequence[tuple[int, ...]]) -> None:
+    """Refuse option vectors above ``MAX_PAYOFFS`` entries in all, one per
+    desired profile for each (undesired, target) option, before any is
+    built."""
+    options = sum(len(domain) * len(targets) for domain, targets in zip(domains, region.sets))
+    count = options * math.prod(map(len, region.sets))
+    if count > MAX_PAYOFFS:
+        raise ValueError(f"payment vectors need {count} entries, above the {MAX_PAYOFFS} cap")
+
+
 def _off_region_rows(
     game: AnyGame, region: RectRegion, player: int
 ) -> list[list[tuple[int, ...]]]:
@@ -338,12 +379,7 @@ def _off_region_rows(
     return rows
 
 
-def min_budget_solve(
-    game: Game,
-    region: RectRegion,
-    *,
-    max_assignments: int | None = MAX_ASSIGNMENTS,
-) -> SolveResult:
+def min_budget_solve(game: Game, region: RectRegion) -> SolveResult:
     """Smallest worst-case payment over the desired region that makes every
     undesired strategy dominated, with the promise achieving it.
 
@@ -359,26 +395,22 @@ def min_budget_solve(
     delta 0, yet y is undominated and ``verify`` reports cost infinity.
 
     The search is exponential in the number of undesired strategies in the
-    worst case; spaces whose raw size (before any pruning) exceeds
-    ``max_assignments`` are refused up front (pass ``None`` to search
-    regardless). Desired regions above ``MAX_PROFILES`` profiles and players
-    with more than ``MAX_PROFILES`` opponent profiles are refused too, before
-    any profile is listed.
+    worst case, and bounded by its work, not by the size of its space.
+    Desired regions above ``MAX_PROFILES`` profiles, players with more than
+    ``MAX_PROFILES`` opponent profiles and option vectors above
+    ``MAX_PAYOFFS`` entries in all are refused before any is built, and a
+    search that passes ``MAX_SEARCH_WORK`` stops with a ``ValueError`` that
+    brackets the least price (see ``_scan_assignments``).
     """
     game = _require_normal(game)
     region.validate_for(game)
-
-    domains = [region.complement(game, i) for i in range(game.n_players)]
-    total = math.prod(len(region.sets[i]) ** len(domains[i]) for i in range(game.n_players))
-    if max_assignments is not None and total > max_assignments:
-        raise ValueError(
-            f"assignment space has {total} elements, above the {max_assignments} cap; "
-            "this exhaustive search is meant for desk-scale instances"
-        )
     _refuse_large_region(region)
     rows = [_off_region_rows(game, region, i) for i in range(game.n_players)]
+    domains = [region.complement(game, i) for i in range(game.n_players)]
+    _refuse_large_vectors(region, domains)
 
     # bench/tracing.py reads the space size from (0, total); keep it until program-side stats
+    total = math.prod(len(region.sets[i]) ** len(domains[i]) for i in range(game.n_players))
     best, picks, tables = _scan_assignments(game, region, 0, total)
     mapping = DominatorMapping(
         domains=tuple(domains),
@@ -446,18 +478,13 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
     return PaymentPromise(game.kind, tuple(tables))
 
 
-def solve_exact(
-    game: Game,
-    region: RectRegion,
-    *,
-    max_assignments: int | None = MAX_ASSIGNMENTS,
-) -> SolveResult:
+def solve_exact(game: Game, region: RectRegion) -> SolveResult:
     """Minimum-budget search followed by the exactifying rewrite."""
     game = _require_normal(game)
     equitable, margins = is_equitable(game, region)
     if not equitable:
         raise ValueError(f"not equitable: per-player margins {margins}")
-    partial = min_budget_solve(game, region, max_assignments=max_assignments)
+    partial = min_budget_solve(game, region)
     exact_promise = exactify(game, region, partial.promise)
     return SolveResult(
         delta=partial.delta,
@@ -480,18 +507,28 @@ def is_pne(game: "AnyGame | ModifiedGameView", region: RectRegion) -> PneReport:
     For graphical views the opponent play ranges over the region restricted
     to the neighborhood. A player with undesired strategies and more than
     ``MAX_PROFILES`` opponent profiles in the region (joint choices of
-    ``game.opponents``) is refused before any payoff is compared.
+    ``game.opponents``) is refused before any payoff is compared, and so is
+    a check that could read more than ``MAX_PAYOFFS`` payoffs: two per
+    (undesired, desired, opponent profile in the region) triple, summed over
+    the players.
     """
     view = _as_view(game)
     region.validate_for(view.game)
+    reads = 0
     for i in range(view.n_players):
-        if len(region.sets[i]) < view.sizes[i]:
+        undesired = view.sizes[i] - len(region.sets[i])
+        if undesired:
             count = math.prod(len(region.sets[j]) for j in view.game.opponents(i))
             if count > MAX_PROFILES:
                 raise ValueError(
                     f"player {i} has {count} opponent profiles in the region, above the "
                     f"{MAX_PROFILES} cap on the stability check"
                 )
+            reads += 2 * undesired * len(region.sets[i]) * count
+    if reads > MAX_PAYOFFS:
+        raise ValueError(
+            f"the stability check needs {reads} payoff reads, above the {MAX_PAYOFFS} cap"
+        )
     assignments: list[tuple[int, int, int]] = []
     for i in range(view.n_players):
         for x in region.complement(view.game, i):

@@ -11,13 +11,14 @@ from gimpl import (
     ZERO,
     ExtValue,
     Game,
-    ModifiedGameView,
     PaymentPromise,
     RectRegion,
     cost,
-    undominated_region,
+    expand_graphical,
+    expand_graphical_promise,
     verify,
 )
+from gimpl.oracle import oracle_verify
 
 from _support import (
     mixed_utility,
@@ -172,10 +173,16 @@ def test_cost_is_the_largest_payment_total_over_the_undominated_region(seed, gra
     else:
         game = random_game(rng, value=mixed_utility)
     promise = random_promise(rng, game)
-    view = ModifiedGameView(game, promise)
+    # the region comes from the oracle's definitional dominance, on the
+    # expansion of a graphical game
+    if graphical:
+        flat, flat_promise = expand_graphical(game), expand_graphical_promise(game, promise)
+    else:
+        flat, flat_promise = game, promise
+    star = oracle_verify(flat, flat_promise, RectRegion.full(flat), INF).undominated_region
     expected = max(
         sum((promise.value(i, game.key_at(i, o)) for i in range(game.n_players)), ZERO)
-        for o in undominated_region(view).profiles()
+        for o in star.profiles()
     )
     assert cost(game, promise) == expected
     region = random_region(rng, game)

@@ -314,6 +314,24 @@ def test_gen_x3c_pipes_into_solver_commands(tmp_path):
     assert run(["pne", str(path)]).status == "no"
 
 
+def test_solve_answers_the_two_player_x3c_construction_at_n_2(tmp_path):
+    # a raw assignment space of 18^6 x 18^6, which the branch and bound
+    # finishes in 18 nodes
+    gen = _run_cli("gen", "x3c", "--n", "2", "--seed", "7", "--force", "yes", "--target", "2p")
+    assert gen.returncode == 0, gen.stderr
+    path = tmp_path / "x3c.json"
+    path.write_bytes(gen.stdout)
+    solved = _run_cli("solve", str(path))
+    assert solved.returncode == 0, solved.stderr
+    payload = json.loads(solved.stdout)
+    assert payload["delta"] == 2
+    out = tmp_path / "solved.json"
+    out.write_text(json.dumps(payload["instance"]), encoding="utf-8")
+    verified = _run_cli("verify", str(out))
+    assert verified.returncode == 0, verified.stderr
+    assert json.loads(verified.stdout)["holds"] is True
+
+
 def test_gen_x3c_graphical_target():
     result = run(["gen", "x3c", "--n", "1", "--seed", "0", "--target", "graphical"])
     assert result.payload["kind"] == "graphical"

@@ -1,5 +1,6 @@
 """Game, region, promise, and view construction plus graphical expansion."""
 
+import collections
 import itertools
 import json
 import random
@@ -374,6 +375,15 @@ def test_list_keys_give_the_same_tables_as_tuple_keys(fresh_shared):
     assert str(made.value) == (
         "utility profile of player 1: position 1 holds True, not a strategy index"
     )
+
+
+def test_keys_that_are_not_plain_tuples_are_stored_as_tuples(fresh_shared):
+    # a range and a tuple subclass are hashable sequences of ints of the
+    # right length; the tables keep plain tuples equal to them
+    pair = collections.namedtuple("pair", "first second")
+    game = Game.make(*_TWO_BY_TWO, [{range(2): 1}, {pair(1, 0): 2}])
+    assert game.utilities == ({(0, 1): ExtValue(1)}, {(1, 0): ExtValue(2)})
+    assert [type(key) for table in game.utilities for key in table] == [tuple, tuple]
 
 
 def test_zero_entries_are_dropped():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -137,21 +138,54 @@ def test_solver_full_region_returns_zero(ex1):
     assert not any(result.promise.entries)
 
 
-def test_solver_refuses_oversized_assignment_spaces():
+def test_solver_solves_a_raw_space_of_10_to_the_15():
     from gimpl.reductions import gen_x3c, x3c_to_two_player
 
     inst = gen_x3c(2, 7, "yes")
     game, region, _ = x3c_to_two_player(inst)  # 18^6 x 18^6 assignments
-    with pytest.raises(ValueError, match="assignment space has .* cap"):
-        min_budget_solve(game, region)
+    assert [len(region.complement(game, i)) for i in range(2)] == [6, 6]
+    result = min_budget_solve(game, region)
+    assert result.delta == ExtValue(2)
+    assert verify(game, result.promise, region, result.delta).holds
 
 
-def test_solver_cap_can_be_lifted():
-    game = random_game(random.Random(12), n_players=2, min_strats=3, max_strats=3)
-    region = RectRegion.make([[0], [0]])
-    capped = min_budget_solve(game, region, max_assignments=1)
-    # 1x2 undesired strategies per player: 1^2 * 1^2 = 1 assignment, under any cap
-    assert capped.delta == min_budget_solve(game, region, max_assignments=None).delta
+def _dense_game(s: int, seed: int) -> tuple[Game, RectRegion]:
+    """Two players with ``s`` strategies each, utilities 1..10^6 on every
+    profile and ``s / 2`` desired strategies per player."""
+    rng = random.Random(1000 * s + seed)
+    profiles = [(a, b) for a in range(s) for b in range(s)]
+    tables = [{o: rng.randint(1, 10**6) for o in profiles} for _ in range(2)]
+    region = RectRegion.make([rng.sample(range(s), s // 2) for _ in range(2)])
+    return Game.make(["p1", "p2"], [[f"s{k}" for k in range(s)]] * 2, tables), region
+
+
+# the deltas of the s = 16 dense games, seeds 0-2, as the search found them
+# before it had a work budget
+_DENSE_16_DELTAS = (614044, 603443, 510303)
+
+
+def test_stopped_search_brackets_the_least_price(monkeypatch):
+    from gimpl import solver
+
+    bracket = re.compile(
+        r"assignment search passed its work budget of (\d+) entry reads after (\d+) nodes; "
+        r"the least price lies in \[(\d+), (\d+)\]"
+    )
+    for seed, delta in enumerate(_DENSE_16_DELTAS):
+        game, region = _dense_game(16, seed)
+        full = min_budget_solve(game, region)  # at the default budget
+        assert full.delta == ExtValue(delta)
+        assert verify(game, full.promise, region, full.delta).holds
+        for budget in (1, 2**10, 2**14, 2**17, 2**19):
+            monkeypatch.setattr(solver, "MAX_SEARCH_WORK", budget)
+            with pytest.raises(ValueError) as stopped:
+                min_budget_solve(game, region)
+            work, nodes, lower, upper = map(int, bracket.fullmatch(str(stopped.value)).groups())
+            assert work == budget and nodes >= 1
+            assert lower <= delta <= upper
+            if (seed, budget) == (0, 2**14):  # the counter's unit and both ends
+                assert (nodes, lower, upper) == (53, 603558, 1060226)
+        monkeypatch.undo()
 
 
 def test_solver_requires_normal_form():
@@ -283,6 +317,40 @@ def test_solver_x3c_two_player_n1_is_fast():
     assert result.delta == ExtValue(2)
 
 
+class _Unreadable(dict):
+    """A utility table that fails every read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a utility was read")
+
+    get = __getitem__ = __contains__ = __iter__ = __len__ = items = values = _refuse
+
+
+def test_solver_refuses_payment_vectors_above_the_cap_before_reading_a_utility():
+    from gimpl.reductions import gen_x3c, x3c_to_two_player
+
+    # n_hat = 5: 2,733,750 vector entries, under the 2^22 cap
+    game, region, _ = x3c_to_two_player(gen_x3c(5, 7, "yes"))
+    assert min_budget_solve(game, region).delta == ExtValue(2)
+    # n_hat = 6: 2 players x 18 undesired x 54 desired strategies x 2,916 profiles
+    game, region, _ = x3c_to_two_player(gen_x3c(6, 7, "yes"))
+    unreadable = Game(game.players, game.strategies, (_Unreadable(), _Unreadable()))
+    with pytest.raises(ValueError) as refused:
+        min_budget_solve(unreadable, region)
+    assert str(refused.value) == "payment vectors need 5668704 entries, above the 4194304 cap"
+    # one player, one undesired strategy and d desired ones: d^2 entries
+    at_cap, above = (Game.make(["p"], [[f"s{k}" for k in range(d + 1)]], [{}]) for d in (2048, 2049))
+    result = min_budget_solve(at_cap, RectRegion.make([range(2048)]))
+    assert result.delta == ZERO and result.mapping.targets == ((0,),)
+    unreadable = Game(above.players, above.strategies, (_Unreadable(),))
+    region = RectRegion.make([range(2049)])
+    message = "payment vectors need 4198401 entries, above the 4194304 cap"
+    for step in (min_budget_solve, lambda g, r: compute_v(g, 0, {2049: 0}, r)):
+        with pytest.raises(ValueError) as refused:
+            step(unreadable, region)
+        assert str(refused.value) == message
+
+
 def _wide_game(n_strategies: int, utilities: dict) -> Game:
     return Game.make(
         ["p1", "p2"],
@@ -304,7 +372,7 @@ def test_solver_search_depth_is_not_bounded_by_the_call_stack():
     # so the search descends through every digit before it improves
     game = _wide_game(1502, {(1501, 0): 3, (1, 0): 3})
     region = RectRegion.make([[0, 1], [0]])
-    result = min_budget_solve(game, region, max_assignments=None)
+    result = min_budget_solve(game, region)
     assert result.delta == ZERO
     assert result.mapping.targets[0] == (0,) * 1499 + (1,)
 
@@ -505,6 +573,29 @@ def test_is_pne_refuses_a_wide_opponent_space_in_the_region_first():
     )
     report = is_pne(game, RectRegion.make([[0, 1, 2]] + [[0, 1]] * (n - 1)))
     assert report.holds and report.assignments == ((0, 3, 0),)
+
+
+def test_is_pne_refuses_more_payoff_reads_than_the_cap_first(monkeypatch):
+    # one player with 1,024 undesired and d desired strategies against one
+    # opponent strategy: up to 2 * 1,024 * d payoff reads
+    def shape(desired):
+        game = Game.make(["p1", "p2"], [[f"s{k}" for k in range(1024 + desired)], ["a"]], [{}, {}])
+        return game, RectRegion.make([range(desired), [0]])
+
+    report = is_pne(*shape(2048))  # 2^22 reads: at the cap, answered
+    assert report.holds and len(report.assignments) == 1024
+    game, region = shape(2049)
+
+    def unread(*args):
+        raise AssertionError("a payoff was read")
+
+    monkeypatch.setattr(ModifiedGameView, "payoff", unread)
+    for check in (is_pne, pne_promise):
+        with pytest.raises(ValueError) as refused:
+            check(game, region)
+        assert str(refused.value) == (
+            "the stability check needs 4196352 payoff reads, above the 4194304 cap"
+        )
 
 
 def test_is_pne_counts_only_the_neighbors_of_a_graphical_view():
