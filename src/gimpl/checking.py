@@ -14,7 +14,6 @@ Reports carry ``ExtValue``s.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ def _max_payment_over(view: ModifiedGameView, region: RectRegion) -> ExtValue:
         return ZERO
     key_at, tables = view.game.key_at, tuple(enumerate(view.promise.entries))
     worst = 0
-    for profile in itertools.product(*region.sets):
+    for profile in region.profiles():
         total = 0
         for i, table in tables:
             number = table.get(key_at(i, profile), ZERO).exact

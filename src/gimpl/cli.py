@@ -248,8 +248,7 @@ def _cmd_decode(args) -> CommandResult:
             "triples": [list(inst.triples[j]) for j in cover],
         }
     elif args.kind == "x3cgraph":
-        budget = doc.budget if doc.budget is not None else ExtValue("1/2")
-        cover = reductions.decode_cover_graphical(doc.game, doc.promise, budget)
+        cover = reductions.decode_cover_graphical(doc.game, doc.promise, doc.budget)
         payload = {"status": "yes", "kind": "x3cgraph", "cover": list(cover)}
     else:
         colored = reductions.decode_coloring(doc.game, doc.promise)

@@ -12,10 +12,11 @@ players ints in range, profiles lists, values ints or strings), decodes
 each distinct value once and builds the per-player tables. The model then
 checks every table key once, in one check per game or promise
 (``model._canonical_tables``): its length, the exact type of each index and
-its range. Decoded values, and each checked key, name list and region set,
-are kept in the process's one table of shared pieces (``model._SHARED``,
-whose comment states what it keeps, its cap and its worst case), so many
-small documents build one object for each equal piece between them. When a
+its range. Decoded values (``model._shared_value``), and each checked key,
+name list and region set, are kept in the process's one table of shared
+pieces, which only ``model`` reads and writes (``model._SHARED``, whose
+comment states what it keeps, its cap and its worst case), so many small
+documents build one object for each equal piece between them. When a
 list fails a bulk check, or the game or promise built from it is refused,
 ``_first_entry_fault`` walks the list without building anything and names
 its first fault. The fault reported is the first malformed entry in
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterator, Mapping, Sequence
 
-from .model import _SHARED, _SHARED_BITS, _SHARED_TEXT, _shared
+from .model import _shared_value
 from .model import AnyGame, Game, GraphicalGame, PaymentPromise, RectRegion
 from .values import ZERO, ExtValue
 
@@ -66,19 +67,15 @@ class InstanceDoc:
 
 def _decode_value(raw: Any, what: str) -> ExtValue:
     """The ExtValue of a raw int or str value, decoded once per process
-    while ``model._SHARED`` keeps it; anything else raises FormatError."""
+    while the model's shared table keeps it (``model._shared_value``);
+    anything else raises FormatError."""
     kind = type(raw)
     if kind is not int and kind is not str:  # before the lookup: True == 1
         raise FormatError(f"{what}: values must be ints or 'p/q' strings, got {raw!r}")
-    ext = _SHARED.get(raw)
-    if ext is None:
-        try:
-            ext = ExtValue(raw)
-        except ValueError as exc:
-            raise FormatError(f"{what}: {exc}") from exc
-        fits = len(raw) <= _SHARED_TEXT if kind is str else raw.bit_length() <= _SHARED_BITS
-        (ext,) = _shared((raw,), fits, (ext,))
-    return ext
+    try:
+        return _shared_value(raw)
+    except ValueError as exc:
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 Tables = list[dict[tuple[int, ...], ExtValue]]

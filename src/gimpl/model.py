@@ -48,11 +48,12 @@ MAX_PROFILES = 2**16
 # payoff reads the stability check ``is_pne`` may make.
 MAX_PAYOFFS = 2**22
 
-# One table for the process, shared by every model it builds: checked table
-# keys, name and strategy tuples and region index sets map to themselves, so
-# equal pieces of all players' tables, of a game and its promise, and of many
-# small documents are one tuple; the gipf-1 reader's raw int and str values map
-# to their ExtValue, so each is decoded once. A tuple never equals an int or a
+# One table for the process, read and written only in this module and shared
+# by every model it builds: checked table keys, name and strategy tuples and
+# region index sets map to themselves, so equal pieces of all players' tables,
+# of a game and its promise, and of many small documents are one tuple; the
+# gipf-1 reader's raw int and str values map to their ExtValue through
+# _shared_value, so each is decoded once. A tuple never equals an int or a
 # str, and callers check exact types first, so a True never meets a 1. Kept
 # are ints of at most _SHARED_BITS bits, strs of at most _SHARED_TEXT
 # characters, and tuples of at most _SHARED_ITEMS such items whose strs have
@@ -84,6 +85,18 @@ def _shared(pieces: Collection, fits: bool, values: Iterable | None = None) -> I
     if len(_SHARED) + len(pieces) > _SHARED_MAX:
         _SHARED.clear()
     return map(_SHARED.setdefault, pieces, values)
+
+
+def _shared_value(raw: int | str) -> ExtValue:
+    """The ExtValue of a raw int or str value, decoded once per process while
+    the table keeps it. The caller checks the exact type first (``True == 1``);
+    a malformed value raises ValueError and is never kept."""
+    ext = _SHARED.get(raw)
+    if ext is None:
+        ext = ExtValue(raw)
+        fits = len(raw) <= _SHARED_TEXT if type(raw) is str else raw.bit_length() <= _SHARED_BITS
+        (ext,) = _shared((raw,), fits, (ext,))
+    return ext
 
 
 def _check_profile(profile: Sequence[int], sizes: Sequence[int], what: str) -> Profile:

@@ -53,9 +53,10 @@ def _require_normal(game):
     return game
 
 
-def _refuse_wide(game: Game) -> None:
+def _refuse_large(game: Game) -> None:
     """Refuse a game in which some player has more than ``MAX_PROFILES``
-    opponent profiles, before any of them is enumerated."""
+    opponent profiles, then one with more than ``MAX_PROFILES`` profiles,
+    before any of them is enumerated."""
     for i in range(game.n_players):
         count = math.prod(size for j, size in enumerate(game.sizes) if j != i)
         if count > MAX_PROFILES:
@@ -63,12 +64,6 @@ def _refuse_wide(game: Game) -> None:
                 f"player {i} has {count} opponent profiles, above the {MAX_PROFILES} "
                 "cap on the oracle's enumeration"
             )
-
-
-def _refuse_large(game: Game) -> None:
-    """``_refuse_wide``, then refuse a game with more than ``MAX_PROFILES``
-    profiles, before any of them is enumerated."""
-    _refuse_wide(game)
     count = math.prod(game.sizes)
     if count > MAX_PROFILES:
         raise ValueError(
@@ -136,8 +131,9 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
     happens when no opponent profile leaves the region (only one player has
     undesired strategies, or the game has one player): nothing then breaks a
     tie between a strategy and its assigned dominator. Assignment spaces above
-    ``MAX_MAPPINGS`` and players with more than ``MAX_PROFILES`` opponent
-    profiles are refused before any promise is built.
+    ``MAX_MAPPINGS``, games above ``MAX_PROFILES`` profiles and players with
+    more than ``MAX_PROFILES`` opponent profiles are refused before any
+    promise is built.
     """
     game = _require_normal(game)
     region.validate_for(game)
@@ -147,7 +143,7 @@ def oracle_min_budget(game: Game, region: RectRegion) -> OracleResult:
         space_size *= len(region.sets[i]) ** len(domains[i])
     if space_size > MAX_MAPPINGS:
         raise ValueError(f"assignment space has {space_size} elements, above the {MAX_MAPPINGS} cap")
-    _refuse_wide(game)
+    _refuse_large(game)
 
     landscape: dict[DominatorMapping, ExtValue] = {}
     best: ExtValue | None = None

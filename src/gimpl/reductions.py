@@ -76,8 +76,17 @@ class X3CInstance:
     def n_elements(self) -> int:
         return 3 * self.n_hat
 
+    @functools.cached_property
+    def _sets_of(self) -> dict[int, tuple[int, ...]]:
+        """Each element's triple indices, ascending, built once per instance."""
+        sets: dict[int, tuple[int, ...]] = {}
+        for j, t in enumerate(self.triples):
+            for x in t:
+                sets[x] = sets.get(x, ()) + (j,)
+        return sets
+
     def sets_containing(self, element: int) -> tuple[int, ...]:
-        return tuple(j for j, t in enumerate(self.triples) if element in t)
+        return self._sets_of.get(element, ())
 
 
 def validate_cover(inst: X3CInstance, cover: Sequence[int]) -> tuple[int, ...]:
@@ -188,9 +197,10 @@ _C_NAME = re.compile(r"^c:a(\d+):C(\d+)$")
 _A_NAME = re.compile(r"^a(\d+)$")
 
 
-def _x3c_pairs(inst: X3CInstance) -> list[tuple[int, int]]:
-    """(element, set) pairs behind the paired strategies, in index order."""
-    return [(i, j) for i in range(inst.n_elements) for j in inst.sets_containing(i)]
+def _pair_index(inst: X3CInstance) -> dict[tuple[int, int], int]:
+    """The strategy index of each (element, set) pair, in index order."""
+    pairs = [(i, j) for i in range(inst.n_elements) for j in inst.sets_containing(i)]
+    return {pair: k for k, pair in enumerate(pairs)}
 
 
 def x3c_to_two_player(inst: X3CInstance) -> tuple[Game, RectRegion, ExtValue]:
@@ -201,11 +211,10 @@ def x3c_to_two_player(inst: X3CInstance) -> tuple[Game, RectRegion, ExtValue]:
     incidence pair plus one per element; the desired sets are the pair
     strategies. Unspecified utilities are 0 and the budget is 0.
     """
-    pairs = _x3c_pairs(inst)
-    pair_index = {pair: k for k, pair in enumerate(pairs)}
-    n_pairs = len(pairs)
+    pair_index = _pair_index(inst)
+    n_pairs = len(pair_index)
     a_index = {i: n_pairs + i for i in range(inst.n_elements)}
-    names = [f"c:a{i}:C{j}" for i, j in pairs] + [f"a{i}" for i in range(inst.n_elements)]
+    names = [f"c:a{i}:C{j}" for i, j in pair_index] + [f"a{i}" for i in range(inst.n_elements)]
 
     u1: dict[tuple[int, int], int] = {}
     u2: dict[tuple[int, int], int] = {}
@@ -240,8 +249,7 @@ def x3c_forward_promise_2p(inst: X3CInstance, cover: Sequence[int]) -> PaymentPr
     element, plus the matching rule for the column player."""
     chosen = set(validate_cover(inst, cover))
     game, _, _ = x3c_to_two_player(inst)
-    pairs = _x3c_pairs(inst)
-    pair_index = {pair: k for k, pair in enumerate(pairs)}
+    pair_index = _pair_index(inst)
     cover_of = {i: j for j in chosen for i in inst.triples[j]}
 
     v1: dict[tuple[int, int], ExtValue] = {}
@@ -372,10 +380,11 @@ def x3c_forward_promise_graphical(
 def decode_cover_graphical(
     game: GraphicalGame,
     promise: PaymentPromise,
-    budget: ExtValue = ExtValue("1/2"),
+    budget: ExtValue | None = None,
 ) -> tuple[int, ...]:
     """Recover an exact cover from a promise implementing the element players'
-    T strategies within budget: the sets whose players end up with T as
+    T strategies within budget (by default the construction's, which
+    ``x3c_to_graphical`` returns): the sets whose players end up with T as
     their only undominated strategy."""
     element_players = []
     set_players = []
@@ -397,7 +406,8 @@ def decode_cover_graphical(
         triples.append(tuple(sorted(game.neighborhoods[p])))
     inst = X3CInstance.make(n_hat, triples)
 
-    _, region, _ = x3c_to_graphical(inst)
+    _, region, default_budget = x3c_to_graphical(inst)
+    budget = default_budget if budget is None else budget
     report = verify(game, promise, region, budget, "subset")
     cover = []
     for j, survivors in enumerate(report.undominated_region.sets[n:]):
@@ -483,16 +493,11 @@ def brute_coloring(graph: ColoringInstance) -> tuple[int, ...] | None:
     return None
 
 
-def _coloring_layout(graph: ColoringInstance) -> tuple[int, int]:
-    """Index layout: vertex strategies, then color choices from the first
-    base, then dummies from the second."""
-    n = graph.n_vertices
-    return n, n + 3 * n
-
-
-def _col(col_base: int, v: int, c: int) -> int:
-    """Index of the strategy in which vertex ``v`` takes color ``c``."""
-    return col_base + 3 * v + (c - 1)
+def _col(n: int, v: int, c: int) -> int:
+    """Index of the strategy in which vertex ``v`` takes color ``c``, in the
+    layout of an ``n``-vertex graph: ``n`` vertex strategies, then the 3n
+    color choices, then one dummy for each color choice, 3n after it."""
+    return n + 3 * v + (c - 1)
 
 
 def coloring_to_exact(graph: ColoringInstance) -> tuple[Game, RectRegion, ExtValue]:
@@ -504,8 +509,8 @@ def coloring_to_exact(graph: ColoringInstance) -> tuple[Game, RectRegion, ExtVal
     one dummy per color choice paying that choice 1 against it.
     """
     n = graph.n_vertices
-    col_base, dummy_base = _coloring_layout(graph)
-    col = functools.partial(_col, col_base)
+    col = functools.partial(_col, n)
+    choices = [col(v, c) for v in range(n) for c in COLORS]
 
     names = (
         [f"v:{name}" for name in graph.vertices]
@@ -530,12 +535,12 @@ def coloring_to_exact(graph: ColoringInstance) -> tuple[Game, RectRegion, ExtVal
         for u in graph.neighbors(v):
             for c in COLORS:
                 u1[(v, col(u, c))] = 2
-    for k in range(3 * n):
-        u1[(col_base + k, dummy_base + k)] = 1
+    for k in choices:
+        u1[(k, k + 3 * n)] = 1
     u2 = {(x, y): value for (y, x), value in u1.items()}
 
     game = Game.make(["p1", "p2"], [names, names], [u1, u2])
-    region = RectRegion.make([range(col_base, dummy_base)] * 2)
+    region = RectRegion.make([choices] * 2)
     return game, region, ExtValue(1)
 
 
@@ -548,8 +553,7 @@ def coloring_forward_promise(
     checked = ColoringInstance.make(graph.vertices, graph.edges, phi)
     assert checked.coloring is not None
     game, _, _ = coloring_to_exact(graph)
-    col_base, _ = _coloring_layout(graph)
-    col = functools.partial(_col, col_base)
+    col = functools.partial(_col, graph.n_vertices)
 
     v1: dict[tuple[int, int], int] = {}
     for v in range(graph.n_vertices):
@@ -569,32 +573,34 @@ def decode_coloring(game: Game, promise: PaymentPromise) -> ColoringInstance:
     for both players, by a color choice of the same vertex; the shared
     color is the vertex's color."""
     vertices: list[str] = []
+    first: dict[str, int] = {}  # a repeated name keeps its first index
     col_index: dict[tuple[int, int], int] = {}
     for idx, name in enumerate(game.strategies[0]):
         m = _VERTEX_STRAT.match(name)
         if m:
             if idx != len(vertices):
                 raise ValueError("vertex strategies are not a contiguous prefix")
+            first.setdefault(m.group(1), idx)
             vertices.append(m.group(1))
             continue
         m = _COLOR_STRAT.match(name)
         if m:
-            if m.group(1) not in vertices:
+            if m.group(1) not in first:
                 raise ValueError(f"color strategy {name!r} references an unknown vertex")
-            col_index[(vertices.index(m.group(1)), int(m.group(2)))] = idx
+            col_index[(first[m.group(1)], int(m.group(2)))] = idx
     n = len(vertices)
     if not n or len(col_index) != 3 * n:
         raise ValueError("strategy names do not follow the coloring encoding")
 
+    region = RectRegion.make([sorted(col_index.values())] * 2)
+    if not verify(game, promise, region, ExtValue(1), "exact").holds:
+        raise ValueError("promise does not exactly implement the color choices within budget 1")
     edges = [
         (a, b)
         for a in range(n)
         for b in range(a + 1, n)
         if game.utility(0, (a, col_index[(b, 1)])) == ExtValue(2)
     ]
-    region = RectRegion.make([sorted(col_index.values())] * 2)
-    if not verify(game, promise, region, ExtValue(1), "exact").holds:
-        raise ValueError("promise does not exactly implement the color choices within budget 1")
 
     view = ModifiedGameView(game, promise)
     phi = []

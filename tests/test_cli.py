@@ -446,6 +446,12 @@ def test_decode_x3c_graphical(tmp_path):
     result = run(["decode", "--kind", "x3cgraph", path])
     assert result.status == "yes"
     assert tuple(result.payload["cover"]) == cover
+    # no budget in the document: the construction's 1/2; a budget below the
+    # certificate's cost of 1/2 is read as it is and refuses it
+    for budget, status in ((None, "yes"), (ExtValue("1/4"), "error")):
+        doc = InstanceDoc(game=gg, region=region, budget=budget, promise=promise)
+        result = run(["decode", "--kind", "x3cgraph", _write(tmp_path, "x3cg.json", doc)])
+        assert result.status == status
 
 
 def test_decode_without_promise_errors(ex1_file):
@@ -657,6 +663,27 @@ def test_verify_refuses_an_oversized_undominated_region(tmp_path):
     proc = _run_cli("verify", _write(tmp_path, "path.json", doc))
     _assert_one_line_error(proc)
     assert "above the 65536 cap" in proc.stderr.decode()
+
+
+def test_oracle_refuses_a_two_player_game_above_the_profile_cap(tmp_path):
+    # two players of 1,024 strategies, no utilities and the full region: one
+    # assignment, each player 1,024 opponent profiles, but 2^20 profiles to price
+    document = {
+        "format": "gipf-1",
+        "kind": "normal",
+        "players": [
+            {"name": f"p{i}", "strategies": [f"s{k}" for k in range(1024)]} for i in (0, 1)
+        ],
+        "region": {"sets": [list(range(1024))] * 2},
+    }
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = _run_cli("oracle", str(path))
+    _assert_one_line_error(proc)
+    assert proc.stderr.decode() == (
+        "gimpl: the game has 1048576 profiles, above the 65536 cap on the oracle's "
+        "enumeration\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,23 @@ def test_oracle_refuses_wide_games_before_enumerating(oracle):
         oracle(game, RectRegion.make([[0]] * n))
 
 
+def test_oracle_search_refuses_a_game_above_the_profile_cap_first(monkeypatch):
+    # two players, full region: one assignment and at most 257 opponent
+    # profiles per player, but the search prices every profile of the game
+    def unavailable(self, player, strategy, opp):
+        raise AssertionError("payoff read")
+
+    monkeypatch.setattr(ModifiedGameView, "payoff", unavailable)
+    game = Game.make(["a", "b"], [[f"s{k}" for k in range(257)]] * 2, [None] * 2)
+    with pytest.raises(ValueError) as info:
+        oracle_min_budget(game, RectRegion.full(game))
+    assert str(info.value) == (
+        "the game has 66049 profiles, above the 65536 cap on the oracle's enumeration"
+    )
+    game = Game.make(["a", "b"], [[f"s{k}" for k in range(256)]] * 2, [None] * 2)
+    assert oracle_min_budget(game, RectRegion.full(game)).delta == ZERO
+
+
 def test_oracle_verify_equals_verify_on_random_promises():
     rng = random.Random(313131)
     kinds = set()

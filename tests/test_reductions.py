@@ -7,6 +7,7 @@ import pytest
 from gimpl import (
     ZERO,
     ExtValue,
+    Game,
     ModifiedGameView,
     PaymentPromise,
     RectRegion,
@@ -337,6 +338,19 @@ def test_coloring_decoder_rejects_all_zero_promise():
     game, _, _ = coloring_to_exact(k3)
     with pytest.raises(ValueError, match="does not exactly implement"):
         decode_coloring(game, PaymentPromise.make(game, [None] * game.n_players))
+
+
+def test_coloring_decoder_refuses_a_large_game_before_reading_a_utility(monkeypatch):
+    # 300 vertices: 2,100 strategies a player, so dominance needs 2,100^2
+    # payoffs, above the cap, and no vertex pair may be read before that
+    game, _, _ = coloring_to_exact(path_graph(300))
+
+    def unavailable(self, player, profile):
+        raise AssertionError("utility read")
+
+    monkeypatch.setattr(Game, "utility", unavailable)
+    with pytest.raises(ValueError, match="needs 4410000 payoffs"):
+        decode_coloring(game, PaymentPromise.make(game, [None] * 2))
 
 
 def test_brute_coloring_basics():
