@@ -532,9 +532,9 @@ class ModifiedGameView:
 
     The view exposes the pointwise sums ``utility + promise`` without
     materializing them, apart from the integer payoff columns that dominance
-    compares, built once per player. For graphical games all queries run
-    over neighbor profiles only, which is sound because both the utilities
-    and any graphical promise are neighborhood-local.
+    and the stability check compare, the full ones kept per player. For
+    graphical games all queries run over neighbor profiles only, which is
+    sound because the utilities and any graphical promise are neighborhood-local.
     """
 
     def __init__(self, game: AnyGame, promise: PaymentPromise | None = None):
@@ -565,24 +565,27 @@ class ModifiedGameView:
         bonus = self.promise.entries[player].get(key)
         return base if bonus is None else base + bonus
 
-    def columns(self, player: int) -> list[list[int]]:
+    def columns(self, player: int, region: RectRegion | None = None) -> list[list[int]]:
         """Per strategy of ``player``, its payoffs against every joint choice
-        of ``game.opponent_profiles(player)``, each as the rank of its value among
-        the distinct payoffs (infinity highest, 0 for unset keys), so that
-        the ints order as the payoffs do.
+        of ``game.opponent_profiles(player, region)``, each as the rank of its
+        value among the distinct payoffs (infinity highest, 0 for unset keys),
+        so that the ints order as the payoffs do.
 
-        Built once per player in one pass over the utility, then the promise
-        entries, on the exact numbers of ``ExtValue.exact`` (never floats);
-        a payment on a utility key adds to it, infinity absorbing. An index
-        naming no player, more than ``MAX_PROFILES`` opponent profiles, or
-        more than ``MAX_PAYOFFS`` payoffs are refused before any is built.
+        Built in one pass over the utility, then the promise entries, on the
+        exact numbers of ``ExtValue.exact`` (never floats); a payment on a
+        utility key adds to it, infinity absorbing. The full layout
+        (``region`` None) is built once per player and kept; a region's is
+        built per call and never kept. An index naming no player, more than
+        ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
+        payoffs are refused before any is built.
         """
         _check_player_index(self.game, player)  # before the lookup: True == 1
-        columns = self._columns.get(player)
+        columns = self._columns.get(player) if region is None else None
         if columns is not None:
             return columns
         size = self.sizes[player]
-        parts = math.prod(map(self.sizes.__getitem__, self.game.opponents(player)))
+        widths = self.sizes if region is None else tuple(map(len, region.sets))
+        parts = math.prod(map(widths.__getitem__, self.game.opponents(player)))
         if parts > MAX_PROFILES:
             raise ValueError(
                 f"dominance for player {player} ranges over {parts} opponent profiles, "
@@ -605,9 +608,11 @@ class ModifiedGameView:
             numbers[key] = number
         finite = sorted({0, *numbers.values()} - {None})
         rank = dict(zip([*finite, None], itertools.count()))
-        keys, get, zero = self.game.keys, numbers.get, itertools.repeat(0)
-        columns = [list(map(rank.__getitem__, map(get, keys(player, s), zero))) for s in range(size)]
-        self._columns[player] = columns
+        get, zero = numbers.get, itertools.repeat(0)
+        rows = (self.game.keys(player, s, region) for s in range(size))
+        columns = [list(map(rank.__getitem__, map(get, row, zero))) for row in rows]
+        if region is None:
+            self._columns[player] = columns
         return columns
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -502,7 +503,10 @@ def _as_view(game: "AnyGame | ModifiedGameView") -> ModifiedGameView:
 
 def is_pne(game: "AnyGame | ModifiedGameView", region: RectRegion) -> PneReport:
     """Literal check that every outside strategy has a desired counter that
-    is never worse against desired opponent play.
+    is never worse against desired opponent play: the first desired strategy,
+    in region order, whose rank column over the region
+    (``view.columns(i, region)``, the payoffs dominance compares) is at least
+    the outside strategy's everywhere.
 
     For graphical views the opponent play ranges over the region restricted
     to the neighborhood. A player with undesired strategies and more than
@@ -530,16 +534,11 @@ def is_pne(game: "AnyGame | ModifiedGameView", region: RectRegion) -> PneReport:
             f"the stability check needs {reads} payoff reads, above the {MAX_PAYOFFS} cap"
         )
     assignments: list[tuple[int, int, int]] = []
-    for i in range(view.n_players):
-        for x in region.complement(view.game, i):
-            counter = None
-            for p in region.sets[i]:
-                if all(
-                    view.payoff(i, x, opp) <= view.payoff(i, p, opp)
-                    for opp in view.game.opponent_profiles(i, region)
-                ):
-                    counter = p
-                    break
+    for i, desired in enumerate(region.sets):
+        undesired = region.complement(view.game, i)
+        columns = view.columns(i, region) if undesired else []
+        for x in undesired:
+            counter = next((p for p in desired if all(map(operator.ge, columns[p], columns[x]))), None)
             if counter is None:
                 return PneReport(holds=False, defector=(i, x), assignments=None)
             assignments.append((i, x, counter))

@@ -6,8 +6,9 @@ budgets, costs) is an :class:`ExtValue`. Finite values are
 absorbing under addition and strictly above every finite value. Code that
 reads many values at once (dominance ranks, pricing) computes on
 :attr:`ExtValue.exact` instead: the same number as a plain ``int`` when it
-is integral, a ``Fraction`` otherwise and ``None`` for infinity, so it stays
-exact and never goes through floats.
+is integral, a ``Fraction`` otherwise and ``None`` for infinity, computed
+once when the value is built, so it stays exact, never goes through floats
+and costs nothing to read again.
 """
 
 from __future__ import annotations
@@ -32,28 +33,30 @@ class ExtValue:
     denominator by the underlying Fraction.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_frac", "_exact")
 
     def __init__(self, value: ValueLike = 0):
         if isinstance(value, ExtValue):
-            self._frac: Fraction | None = value._frac
+            frac = value._frac
         elif isinstance(value, bool):
             raise TypeError("booleans are not utility values")
         elif isinstance(value, (int, Fraction)):
-            self._frac = Fraction(value)
+            frac = Fraction(value)
         elif isinstance(value, str):
             text = value.strip()
             if text == "inf":
-                self._frac = None
+                frac = None
             else:
                 try:
                     if not _RATIONAL.fullmatch(text):
                         raise ValueError
-                    self._frac = Fraction(text)
+                    frac = Fraction(text)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"malformed rational {value!r}") from exc
         else:
             raise TypeError(f"cannot build an ExtValue from {type(value).__name__}")
+        self._frac: Fraction | None = frac
+        self._exact = frac.numerator if frac is not None and frac.denominator == 1 else frac
 
     @property
     def is_finite(self) -> bool:
@@ -62,11 +65,9 @@ class ExtValue:
     @property
     def exact(self) -> "int | Fraction | None":
         """The value as an int when integral, the Fraction otherwise, and
-        None for infinity; ints add, hash and compare natively."""
-        frac = self._frac
-        if frac is not None and frac.denominator == 1:
-            return frac.numerator
-        return frac
+        None for infinity, computed once when the value is built; ints add,
+        hash and compare natively."""
+        return self._exact
 
     @property
     def fraction(self) -> Fraction:
@@ -124,20 +125,14 @@ class ExtValue:
         return self._frac < rhs._frac
 
     def __str__(self) -> str:
-        if self._frac is None:
-            return "inf"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        return "inf" if self._exact is None else str(self._exact)
 
     def __repr__(self) -> str:
         return f"ExtValue({str(self)!r})"
 
     def to_json(self) -> "int | str":
         """JSON-friendly form: int when integral, else "p/q" or "inf"."""
-        if self._frac is not None and self._frac.denominator == 1:
-            return self._frac.numerator
-        return str(self)
+        return self._exact if isinstance(self._exact, int) else str(self)
 
 
 INF = ExtValue("inf")

@@ -31,15 +31,31 @@ from gimpl import (
     solve_exact,
     verify,
 )
-from gimpl.solver import _off_region_rows
+from gimpl.solver import PneReport, _off_region_rows
 
 from _support import (
     mixed_utility,
     random_equitable_instance,
     random_game,
+    random_graphical,
+    random_promise,
     random_region,
     time_limit,
 )
+
+
+def _read_nothing(monkeypatch):
+    """Make every payoff read and every rank-column build fail the test, so a
+    refusal that comes after either is caught."""
+
+    def unread(self, player, strategy, opp):
+        raise AssertionError("a payoff was read")
+
+    def unbuilt(self, player, region=None):
+        raise AssertionError("rank columns were built")
+
+    monkeypatch.setattr(ModifiedGameView, "payoff", unread)
+    monkeypatch.setattr(ModifiedGameView, "columns", unbuilt)
 
 
 def test_compute_v_worked_example(ex1, ex1_region):
@@ -511,7 +527,7 @@ def test_is_pne_witness_assignments(ce1):
     assert report.assignments == ((0, 1, 0), (1, 1, 0))
 
 
-def test_zero_cost_promise_examples(ce1):
+def test_zero_cost_promise_examples(ce1, monkeypatch):
     region = RectRegion.make([[0], [0]])
     promise = pne_promise(ce1, region)[1]
     assert promise.entries[0] == {(0, 1): INF}
@@ -525,12 +541,13 @@ def test_zero_cost_promise_examples(ce1):
 
     # a stable region verify could not price is refused, as solve refuses it
     bare = Game.make(["a", "b"], [[f"s{k}" for k in range(300)]] * 2, [{}, {}])
+    _read_nothing(monkeypatch)
     with pytest.raises(ValueError) as refused:
         pne_promise(bare, RectRegion.full(bare))
     assert str(refused.value) == "desired region has 90000 profiles, above the 65536 cap"
 
 
-def test_pne_promise_pairs_the_check_with_the_free_promise(ce1):
+def test_pne_promise_pairs_the_check_with_the_free_promise(ce1, monkeypatch):
     # one stability check gives the report and, on a yes, the free promise
     for sets in ([[0], [0]], [[0, 1], [0, 1]], [[1], [1]]):
         region = RectRegion.make(sets)
@@ -544,23 +561,27 @@ def test_pne_promise_pairs_the_check_with_the_free_promise(ce1):
     # the cap comes before the check, stable region or not: strategy 0 of
     # player 0 beats every desired strategy against desired strategy 1
     game = Game.make(["a", "b"], [[f"s{k}" for k in range(300)]] * 2, [{(0, 1): 1}, {}])
-    for sets in ([range(300)] * 2, [range(1, 300)] * 2):
-        region = RectRegion.make([list(s) for s in sets])
-        with pytest.raises(ValueError) as refused:
-            pne_promise(game, region)
-        assert str(refused.value).endswith("profiles, above the 65536 cap")
+    with monkeypatch.context() as patched:
+        _read_nothing(patched)
+        for sets in ([range(300)] * 2, [range(1, 300)] * 2):
+            region = RectRegion.make([list(s) for s in sets])
+            with pytest.raises(ValueError) as refused:
+                pne_promise(game, region)
+            assert str(refused.value).endswith("profiles, above the 65536 cap")
     assert not is_pne(game, RectRegion.make([list(range(1, 300))] * 2)).holds
 
 
-def test_is_pne_refuses_a_wide_opponent_space_in_the_region_first():
+def test_is_pne_refuses_a_wide_opponent_space_in_the_region_first(monkeypatch):
     # 21 players with two strategies each, no utilities and region
     # {0} x {0, 1}^20: player 0's undesired strategy would be compared
     # against 2^20 opponent profiles
     n = 21
     game = Game.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [{}] * n)
     region = RectRegion.make([[0]] + [[0, 1]] * (n - 1))
-    with time_limit(0.5, "is_pne"), pytest.raises(ValueError) as refusal:
-        is_pne(game, region)
+    with monkeypatch.context() as patched:
+        _read_nothing(patched)
+        with time_limit(0.5, "is_pne"), pytest.raises(ValueError) as refusal:
+            is_pne(game, region)
     assert str(refusal.value) == (
         "player 0 has 1048576 opponent profiles in the region, above the 65536 cap on the "
         "stability check"
@@ -585,17 +606,82 @@ def test_is_pne_refuses_more_payoff_reads_than_the_cap_first(monkeypatch):
     report = is_pne(*shape(2048))  # 2^22 reads: at the cap, answered
     assert report.holds and len(report.assignments) == 1024
     game, region = shape(2049)
-
-    def unread(*args):
-        raise AssertionError("a payoff was read")
-
-    monkeypatch.setattr(ModifiedGameView, "payoff", unread)
+    _read_nothing(monkeypatch)
     for check in (is_pne, pne_promise):
         with pytest.raises(ValueError) as refused:
             check(game, region)
         assert str(refused.value) == (
             "the stability check needs 4196352 payoff reads, above the 4194304 cap"
         )
+
+
+def test_is_pne_answers_the_widest_shape_under_the_read_cap_in_time(monkeypatch):
+    # one player with 2,896 strategies against one opponent strategy: the
+    # first 1,448 desired with utilities 0..1,447, every undesired one at
+    # 1,447, so only the last desired strategy counters each undesired one;
+    # 2 * 1,448 * 1,448 = 4,193,408 reads, just under the cap
+    size, desired = 2896, 1448
+    utilities = {(k, 0): min(k, desired - 1) for k in range(size)}
+    game = Game.make(["p1", "p2"], [[f"s{k}" for k in range(size)], ["a"]], [utilities, {}])
+    region = RectRegion.make([range(desired), [0]])
+
+    def unread(self, player, strategy, opp):
+        raise AssertionError("a payoff was read")
+
+    monkeypatch.setattr(ModifiedGameView, "payoff", unread)
+    with time_limit(2.0, "is_pne"):
+        report = is_pne(game, region)
+    assert report.holds
+    assert report.assignments == tuple((0, x, desired - 1) for x in range(desired, size))
+
+
+def _pairwise_pne(view, region):
+    """The stability check read payoff pair by payoff pair: the first desired
+    counter in region order that is never worse on the region."""
+    assignments = []
+    for i in range(view.n_players):
+        for x in region.complement(view.game, i):
+            counters = (
+                p for p in region.sets[i]
+                if all(
+                    view.payoff(i, x, opp) <= view.payoff(i, p, opp)
+                    for opp in view.game.opponent_profiles(i, region)
+                )
+            )
+            counter = next(counters, None)
+            if counter is None:
+                return PneReport(holds=False, defector=(i, x), assignments=None)
+            assignments.append((i, x, counter))
+    return PneReport(holds=True, defector=None, assignments=tuple(assignments))
+
+
+def test_is_pne_region_columns_agree_with_payoff_pairs_and_leave_the_cache_alone():
+    from gimpl import undominated_region
+
+    # promises with infinite and fractional payments, on both game kinds
+    rng = random.Random(343434)
+    outcomes = set()
+    for _ in range(150):
+        if rng.random() < 0.6:
+            game = random_game(rng, value=mixed_utility)
+        else:
+            game = random_graphical(rng, value=mixed_utility)
+        promise = random_promise(rng, game) if rng.random() < 0.8 else None
+        region = random_region(rng, game)
+        fresh = ModifiedGameView(game, promise)
+        expected = _pairwise_pne(fresh, region)
+        # region columns first, then the full ones: no region layout is kept
+        view = ModifiedGameView(game, promise)
+        assert is_pne(view, region) == expected
+        assert undominated_region(view) == undominated_region(fresh)
+        assert [view.columns(i) for i in range(view.n_players)] == [
+            ModifiedGameView(game, promise).columns(i) for i in range(view.n_players)
+        ]
+        # full columns first, then the region's: no full layout is reused
+        assert is_pne(fresh, region) == expected
+        outcomes.add((expected.holds, bool(expected.assignments)))
+    # stable with counters, stable with nothing undesired, and unstable
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_is_pne_counts_only_the_neighbors_of_a_graphical_view():

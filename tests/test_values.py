@@ -96,3 +96,20 @@ def test_exactness_on_random_rationals():
         assert a + b == b + a
         total = (a + b + c).fraction
         assert total == a.fraction + b.fraction + c.fraction
+
+
+def test_exact_is_the_plainest_exact_number_and_read_only():
+    # the same number and type however the value was built
+    cases = (
+        (ExtValue("4/2"), 2),
+        (ExtValue(Fraction(3, 6)), Fraction(1, 2)),
+        (ExtValue(ExtValue("-7/3")), Fraction(-7, 3)),
+        (ExtValue("1/2") + ExtValue("1/2"), 1),
+        (ExtValue(5) - 7, -2),
+        (INF, None),
+    )
+    for value, number in cases:
+        assert value.exact == number and type(value.exact) is type(number)
+        assert value.to_json() == (str(value) if type(number) is not int else number)
+    with pytest.raises(AttributeError):
+        ExtValue(1).exact = 2
