@@ -3,9 +3,11 @@
 A strategy x dominates y for player i when x is never worse than y against
 any joint opponent choice and strictly better against at least one. For
 graphical views the opponent choices range over the neighborhood only.
-Both tests compare the view's integer payoff columns, built once per player;
-``undominated`` stops at each strategy's first dominator in index order. No
-iterated elimination happens here; undominatedness is one-shot.
+Every test compares the view's integer payoff columns, which the view
+builds per call and never keeps, so each function reads one layout of the
+player and compares all its pairs on it; ``undominated`` stops at each
+strategy's first dominator in index order. No iterated elimination happens
+here; undominatedness is one-shot.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ def dominates(view: ModifiedGameView, player: int, x: int, y: int) -> bool:
     return _beats(columns[x], columns[y])
 
 
-def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
-    """Strategies of ``player`` that no other strategy dominates."""
-    columns = view.columns(player)
+def _undominated(columns: list[list[int]]) -> tuple[int, ...]:
+    """Strategies whose payoff column no other strategy's column beats."""
     kept = []
     for y, cy in enumerate(columns):
         for x, cx in enumerate(columns):
@@ -48,6 +49,11 @@ def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
         else:
             kept.append(y)
     return tuple(kept)
+
+
+def undominated(view: ModifiedGameView, player: int) -> tuple[int, ...]:
+    """Strategies of ``player`` that no other strategy dominates."""
+    return _undominated(view.columns(player))
 
 
 def undominated_region(view: ModifiedGameView) -> RectRegion:
@@ -60,8 +66,9 @@ def find_dominator(view: ModifiedGameView, player: int, y: int) -> int:
 
     Raises ValueError when ``y`` names no strategy or is itself undominated.
     """
-    _check_strategy(view.columns(player), player, y)
-    for x in undominated(view, player):
-        if x != y and dominates(view, player, x, y):
+    columns = view.columns(player)
+    _check_strategy(columns, player, y)
+    for x in _undominated(columns):
+        if x != y and _beats(columns[x], columns[y]):
             return x
     raise ValueError(f"strategy {y} of player {player} is undominated")

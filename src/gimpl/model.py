@@ -44,8 +44,9 @@ LocalKey = tuple[int, ...]  # (own strategy, *neighbor strategies), graphical ga
 # and the solver's off-region payments range over.
 MAX_PROFILES = 2**16
 # Largest number of payoffs a view lays out in columns for one player, of
-# payment-vector entries the solver builds for all players' options, and of
-# payoff reads the stability check ``is_pne`` may make.
+# payment-vector entries the solver builds for all players' options, of
+# off-region payments the solver lists for all players, and of payoff reads
+# the stability check ``is_pne`` may make.
 MAX_PAYOFFS = 2**22
 
 # One table for the process, read and written only in this module and shared
@@ -531,8 +532,8 @@ class ModifiedGameView:
     """A game together with an optional payment promise, read as one game.
 
     The view exposes the pointwise sums ``utility + promise`` without
-    materializing them, apart from the integer payoff columns that dominance
-    and the stability check compare, the full ones kept per player. For
+    materializing them, and keeps nothing else: the integer payoff columns
+    that dominance and the stability check compare are built per call. For
     graphical games all queries run over neighbor profiles only, which is
     sound because the utilities and any graphical promise are neighborhood-local.
     """
@@ -545,8 +546,6 @@ class ModifiedGameView:
             if len(promise.entries) != game.n_players:
                 raise ValueError("promise and game disagree on the number of players")
         self.promise = promise
-        self._tables = game.tables
-        self._columns: dict[int, list[list[int]]] = {}
 
     @property
     def n_players(self) -> int:
@@ -559,7 +558,7 @@ class ModifiedGameView:
     def payoff(self, player: int, strategy: int, opp: tuple[int, ...]) -> ExtValue:
         """Modified utility of ``player`` for ``strategy`` against ``opp``."""
         key = self.game.key_of(player, strategy, opp)
-        base = self._tables[player].get(key, ZERO)
+        base = self.game.tables[player].get(key, ZERO)
         if self.promise is None:
             return base
         bonus = self.promise.entries[player].get(key)
@@ -573,16 +572,13 @@ class ModifiedGameView:
 
         Built in one pass over the utility, then the promise entries, on the
         exact numbers of ``ExtValue.exact`` (never floats); a payment on a
-        utility key adds to it, infinity absorbing. The full layout
-        (``region`` None) is built once per player and kept; a region's is
-        built per call and never kept. An index naming no player, more than
-        ``MAX_PROFILES`` opponent profiles, or more than ``MAX_PAYOFFS``
-        payoffs are refused before any is built.
+        utility key adds to it, infinity absorbing. Each call builds a new
+        layout and none is kept, so a caller that compares many pairs reads
+        it once. An index naming no player, more than ``MAX_PROFILES``
+        opponent profiles, or more than ``MAX_PAYOFFS`` payoffs are refused
+        before any is built.
         """
-        _check_player_index(self.game, player)  # before the lookup: True == 1
-        columns = self._columns.get(player) if region is None else None
-        if columns is not None:
-            return columns
+        _check_player_index(self.game, player)  # before any indexing: True indexes like 1
         size = self.sizes[player]
         widths = self.sizes if region is None else tuple(map(len, region.sets))
         parts = math.prod(map(widths.__getitem__, self.game.opponents(player)))
@@ -597,7 +593,7 @@ class ModifiedGameView:
                 f"dominance for player {player} needs {count} payoffs, above the "
                 f"{MAX_PAYOFFS} cap"
             )
-        tables = [self._tables[player]]
+        tables = [self.game.tables[player]]
         if self.promise is not None:
             tables.append(self.promise.entries[player])
         numbers: dict[tuple[int, ...], int | Fraction | None] = {}  # None: infinity
@@ -610,10 +606,7 @@ class ModifiedGameView:
         rank = dict(zip([*finite, None], itertools.count()))
         get, zero = numbers.get, itertools.repeat(0)
         rows = (self.game.keys(player, s, region) for s in range(size))
-        columns = [list(map(rank.__getitem__, map(get, row, zero))) for row in rows]
-        if region is None:
-            self._columns[player] = columns
-        return columns
+        return [list(map(rank.__getitem__, map(get, row, zero))) for row in rows]
 
 
 def _flatten(

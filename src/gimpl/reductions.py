@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .checking import verify
-from .domination import dominates
+from .domination import _beats
 from .model import (
     Game,
     GraphicalGame,
@@ -478,9 +478,17 @@ class ColoringInstance:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    @functools.cached_property
+    def _neighbors_of(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbors, ascending, built once per instance."""
+        adjacent: dict[int, list[int]] = {}
+        for a, b in self.edges:
+            adjacent.setdefault(a, []).append(b)
+            adjacent.setdefault(b, []).append(a)
+        return {v: tuple(sorted(us)) for v, us in adjacent.items()}
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+        return self._neighbors_of.get(v, ())
 
 
 def brute_coloring(graph: ColoringInstance) -> tuple[int, ...] | None:
@@ -603,13 +611,13 @@ def decode_coloring(game: Game, promise: PaymentPromise) -> ColoringInstance:
     ]
 
     view = ModifiedGameView(game, promise)
+    layouts = [view.columns(0), view.columns(1)]
     phi = []
     for v in range(n):
         shared = [
             c
             for c in COLORS
-            if dominates(view, 0, col_index[(v, c)], v)
-            and dominates(view, 1, col_index[(v, c)], v)
+            if all(_beats(columns[col_index[(v, c)]], columns[v]) for columns in layouts)
         ]
         if not shared:
             raise ValueError(

@@ -33,7 +33,12 @@ each player's payoffs against its neighbours only. The search,
 regions above ``MAX_PROFILES`` (65,536) profiles before they list any, the
 same cap ``verify`` and ``cost`` apply to the regions they sum payments
 over; the search and ``compute_v`` refuse option vectors above
-``MAX_PAYOFFS`` (2^22) entries in all before they build any. ``is_pne``
+``MAX_PAYOFFS`` (2^22) entries in all before they build any. The infinite
+off-region payments of the search, ``exactify`` and ``pne_promise`` refuse
+a player with more than ``MAX_PROFILES`` opponent profiles, then more than
+``MAX_PAYOFFS`` payments in all (the sum over players i of |O_i| times the
+opponent profiles of i outside the region), before they list any key; the
+search checks its option vectors between the two. ``is_pne``
 refuses a player with undesired strategies whose opponent profiles in the
 region pass ``MAX_PROFILES``, and a check of more than ``MAX_PAYOFFS``
 payoff reads, before it compares any payoff.
@@ -359,20 +364,39 @@ def _refuse_large_vectors(region: RectRegion, domains: Sequence[tuple[int, ...]]
         raise ValueError(f"payment vectors need {count} entries, above the {MAX_PAYOFFS} cap")
 
 
+def _off_region_entries(game: AnyGame, region: RectRegion) -> int:
+    """How many keys ``_off_region_rows`` lists over all players: the sum
+    over players i of |O_i| times (opponent parts - opponent parts in the
+    region). A player with more than ``MAX_PROFILES`` opponent parts is
+    refused first."""
+    entries = 0
+    for i, desired in enumerate(region.sets):
+        others = game.opponents(i)
+        count = math.prod(game.sizes[j] for j in others)
+        if count > MAX_PROFILES:
+            raise ValueError(
+                f"player {i} has {count} opponent profiles, above the {MAX_PROFILES} "
+                "cap on off-region payments"
+            )
+        entries += len(desired) * (count - math.prod(len(region.sets[j]) for j in others))
+    return entries
+
+
+def _refuse_large_off_region(entries: int) -> None:
+    """Refuse more than ``MAX_PAYOFFS`` off-region payments in all, as
+    ``_off_region_entries`` counts them, before any key is listed."""
+    if entries > MAX_PAYOFFS:
+        raise ValueError(
+            f"off-region payments need {entries} entries, above the {MAX_PAYOFFS} cap"
+        )
+
+
 def _off_region_rows(
     game: AnyGame, region: RectRegion, player: int
 ) -> list[list[tuple[int, ...]]]:
     """Per desired strategy of ``player``, in region order, its keys against
-    the opponent parts that leave the region, in ``game.keys`` order.
-
-    A player with more than ``MAX_PROFILES`` opponent parts is refused
-    before any key is listed."""
-    count = math.prod(game.sizes[j] for j in game.opponents(player))
-    if count > MAX_PROFILES:
-        raise ValueError(
-            f"player {player} has {count} opponent profiles, above the {MAX_PROFILES} "
-            "cap on off-region payments"
-        )
+    the opponent parts that leave the region, in ``game.keys`` order;
+    callers refuse oversized games first (``_off_region_entries``)."""
     rows = []
     for p in region.sets[player]:
         inside = set(game.keys(player, p, region))
@@ -398,17 +422,20 @@ def min_budget_solve(game: Game, region: RectRegion) -> SolveResult:
     The search is exponential in the number of undesired strategies in the
     worst case, and bounded by its work, not by the size of its space.
     Desired regions above ``MAX_PROFILES`` profiles, players with more than
-    ``MAX_PROFILES`` opponent profiles and option vectors above
-    ``MAX_PAYOFFS`` entries in all are refused before any is built, and a
-    search that passes ``MAX_SEARCH_WORK`` stops with a ``ValueError`` that
-    brackets the least price (see ``_scan_assignments``).
+    ``MAX_PROFILES`` opponent profiles, option vectors above ``MAX_PAYOFFS``
+    entries in all and off-region payments above ``MAX_PAYOFFS`` entries in
+    all are refused, in that order, before any profile, key or vector is
+    listed, and a search that passes ``MAX_SEARCH_WORK`` stops with a
+    ``ValueError`` that brackets the least price (see ``_scan_assignments``).
     """
     game = _require_normal(game)
     region.validate_for(game)
     _refuse_large_region(region)
-    rows = [_off_region_rows(game, region, i) for i in range(game.n_players)]
+    off_region = _off_region_entries(game, region)
     domains = [region.complement(game, i) for i in range(game.n_players)]
     _refuse_large_vectors(region, domains)
+    _refuse_large_off_region(off_region)
+    rows = [_off_region_rows(game, region, i) for i in range(game.n_players)]
 
     # bench/tracing.py reads the space size from (0, total); keep it until program-side stats
     total = math.prod(len(region.sets[i]) ** len(domains[i]) for i in range(game.n_players))
@@ -449,7 +476,10 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
 
     Requires an equitable region shape and a promise that implements the
     region with finite payments on it. Desired regions above
-    ``MAX_PROFILES`` profiles are refused before the promise is priced.
+    ``MAX_PROFILES`` profiles are refused before the promise is priced, and
+    players with more than ``MAX_PROFILES`` opponent profiles and
+    off-region payments above ``MAX_PAYOFFS`` entries in all before any
+    off-region key is listed.
     """
     game = _require_normal(game)
     equitable, margins = is_equitable(game, region)
@@ -463,6 +493,7 @@ def exactify(game: Game, region: RectRegion, promise: PaymentPromise) -> Payment
     if not verify(game, promise, region, INF, "subset").holds:
         raise ValueError("promise does not implement the desired region")
 
+    _refuse_large_off_region(_off_region_entries(game, region))
     big_m = game.max_utility() + delta + ExtValue(1)
     tables: list[dict[Profile, ExtValue]] = []
     for i in range(game.n_players):
@@ -556,13 +587,17 @@ def pne_promise(
     infinite entries make each outside strategy strictly dominated while
     never touching an undominated profile, so the promise verifies at
     budget 0. Desired regions above ``MAX_PROFILES`` profiles, which
-    ``verify`` could not price, are refused before the check.
+    ``verify`` could not price, are refused before the check; once it
+    holds, players with more than ``MAX_PROFILES`` opponent profiles and
+    off-region payments above ``MAX_PAYOFFS`` entries in all are refused
+    before any key is listed.
     """
     _refuse_large_region(region)
     view = _as_view(game)
     report = is_pne(view, region)
     if not report.holds:
         return report, None
+    _refuse_large_off_region(_off_region_entries(view.game, region))
     tables = tuple(
         dict.fromkeys(itertools.chain.from_iterable(_off_region_rows(view.game, region, i)), INF)
         for i in range(view.n_players)

@@ -93,6 +93,33 @@ def test_find_dominator_refuses_a_bool_before_comparing_it():
         find_dominator(view, 0, 1)
 
 
+def test_a_view_keeps_no_layout():
+    rng = random.Random(3535)
+    for game in (random_game(rng, value=mixed_utility), random_graphical(rng, mixed_utility)):
+        promise = random_promise(rng, game)
+        view = ModifiedGameView(game, promise)
+        for i in range(game.n_players):
+            first, second = view.columns(i), view.columns(i)
+            assert first == second and first is not second
+        region = undominated_region(view)
+        assert region == undominated_region(ModifiedGameView(game, promise))
+        # the view is its game and its promise, and holds nothing it built
+        assert vars(view) == {"game": game, "promise": promise}
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "region"])
+def test_columns_refuse_a_wide_opponent_space(full):
+    # 18 players with two strategies: each player's opponents make 2^17 profiles
+    n = 18
+    view = ModifiedGameView(Game.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [{}] * n))
+    region = None if full else RectRegion.full(view.game)
+    with pytest.raises(ValueError) as refusal:
+        view.columns(0, region)
+    assert str(refusal.value) == (
+        "dominance for player 0 ranges over 131072 opponent profiles, above the 65536 cap"
+    )
+
+
 def test_worked_example_undominated_sets(ex1, ex1_promise):
     plain = ModifiedGameView(ex1)
     assert undominated(plain, 0) == (0, 1)  # {s1, s2}

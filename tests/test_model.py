@@ -513,6 +513,18 @@ def test_expand_projection_property():
                 assert game.utility(i, tuple(twiddled)) == game.utility(i, profile)
 
 
+def test_expansion_refuses_more_profiles_than_the_cap():
+    # 17 players with two strategies and no edges: 2^17 full profiles
+    n = 17
+    gg = GraphicalGame.make([f"p{i}" for i in range(n)], [["a", "b"]] * n, [], [{}] * n)
+    promise = PaymentPromise.make(gg, [{}] * n)
+    message = "graphical game has 131072 full strategy profiles, above the 65536 expansion cap"
+    for expand in (expand_graphical, lambda g: expand_graphical_promise(g, promise)):
+        with pytest.raises(ValueError) as refusal:
+            expand(gg)
+        assert str(refusal.value) == message
+
+
 def test_expand_graphical_promise_matches_local_payments():
     gg = GraphicalGame.make(
         ["p1", "p2", "p3"],

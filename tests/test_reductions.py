@@ -8,6 +8,7 @@ from gimpl import (
     ZERO,
     ExtValue,
     Game,
+    GraphicalGame,
     ModifiedGameView,
     PaymentPromise,
     RectRegion,
@@ -381,3 +382,123 @@ def test_parse_edge_list():
         parse_edge_list("a b c\n")
     with pytest.raises(ValueError):
         parse_edge_list("   \n")
+
+
+# -- refusals ---------------------------------------------------------------------
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as refusal:
+        call()
+    return str(refusal.value)
+
+
+# six triples over 0..5, each element in exactly three of them
+_TWO_SETS = [(0, 1, 2), (0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "n_hat, triples, message",
+    [
+        (0, [], "n_hat must be at least 1"),
+        (1, [(0, 1, 2)], "expected 3 triples, got 1"),
+        (1, [(0, 1, 2), (0, 1, 2), (0, 0, 1)], "triple (0, 1) does not have three distinct elements"),
+        (1, [(0, 1, 2), (0, 1, 2), (0, 1, 3)], "element 3 out of range"),
+        (2, _TWO_SETS[:5] + [(0, 4, 5)], "elements [0, 3] do not occur in exactly three triples"),
+    ],
+)
+def test_x3c_instance_refusals(n_hat, triples, message):
+    assert _refusal(lambda: X3CInstance.make(n_hat, triples)) == message
+
+
+@pytest.mark.parametrize(
+    "cover, message",
+    [
+        ((0, 0), "cover repeats a set index"),
+        ((0,), "cover has 1 sets, expected 2"),
+        ((0, 6), "set index 6 out of range"),
+        ((0, 1), "set 1 overlaps the rest of the cover"),
+    ],
+)
+def test_validate_cover_refusals(cover, message):
+    inst = X3CInstance.make(2, _TWO_SETS)
+    assert validate_cover(inst, (0, 5)) == (0, 5)
+    assert _refusal(lambda: validate_cover(inst, cover)) == message
+
+
+@pytest.mark.parametrize(
+    "n_hat, force, message",
+    [
+        (0, "any", "n_hat must be at least 1"),
+        (2, "maybe", "force must be 'yes', 'no', or 'any', got 'maybe'"),
+        (9, "no", "cover search over 4686825 subsets, above the 1000000 cap"),
+    ],
+)
+def test_gen_x3c_refusals(n_hat, force, message):
+    assert _refusal(lambda: gen_x3c(n_hat, 0, force)) == message
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["a0", "b0"], "strategy name 'b0' does not follow the encoding"),
+        (["c:a0:C0", "a0", "a1"], "strategy names do not describe a 3n-element universe"),
+    ],
+)
+def test_two_player_name_refusals(names, message):
+    game = Game.make(["p1", "p2"], [names, names], [{}, {}])
+    assert _refusal(lambda: x3c_instance_from_game(game)) == message
+    promise = PaymentPromise.make(game, [None, None])
+    assert _refusal(lambda: decode_cover_2p(game, promise)) == message
+
+
+@pytest.mark.parametrize(
+    "players, message",
+    [
+        (["a0", "a1", "a2", "S0"], "player name 'S0' does not follow the encoding"),
+        (["a0", "a1", "C0"], "element players do not describe a 3n-element universe"),
+        (["C0", "a0", "a1", "a2"], "element players do not describe a 3n-element universe"),
+    ],
+)
+def test_graphical_decoder_name_refusals(players, message):
+    game = GraphicalGame.make(players, [["T", "F"]] * len(players), [], [None] * len(players))
+    promise = PaymentPromise.make(game, [None] * len(players))
+    assert _refusal(lambda: decode_cover_graphical(game, promise)) == message
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["v:x", "d0", "v:y"], "vertex strategies are not a contiguous prefix"),
+        (["v:x", "c:y:1"], "color strategy 'c:y:1' references an unknown vertex"),
+        (["v:x", "c:x:1", "c:x:2"], "strategy names do not follow the coloring encoding"),
+        (["d0"], "strategy names do not follow the coloring encoding"),
+    ],
+)
+def test_coloring_decoder_name_refusals(names, message):
+    game = Game.make(["p1", "p2"], [names, names], [{}, {}])
+    promise = PaymentPromise.make(game, [None, None])
+    assert _refusal(lambda: decode_coloring(game, promise)) == message
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, coloring, message",
+    [
+        ([], [], None, "the graph needs at least one vertex"),
+        (["a", "b", "a"], [], None, "vertex names repeat"),
+        (["a", "b"], [(0, 2)], None, "edge (0, 2) references an unknown vertex"),
+        (["a", "b"], [(1, 1)], None, "self-loop on vertex 'b'"),
+        (["a", "b"], [(0, 1)], (1,), "coloring must assign every vertex a color"),
+        (["a", "b"], [(0, 1)], (1, 4), "colors must be 1, 2, or 3"),
+        (["a", "b"], [(1, 0)], (2, 2), "improper coloring: edge (a, b) is monochromatic"),
+    ],
+)
+def test_coloring_instance_refusals(vertices, edges, coloring, message):
+    assert _refusal(lambda: ColoringInstance.make(vertices, edges, coloring)) == message
+
+
+def test_neighbors_read_the_edges():
+    for graph in (petersen_graph(), path_graph(7), complete_graph(4), parse_edge_list("b a\nc a\nd\n")):
+        for v in range(-1, graph.n_vertices + 1):
+            scanned = sorted(b if a == v else a for a, b in graph.edges if v in (a, b))
+            assert graph.neighbors(v) == tuple(scanned)

@@ -417,6 +417,55 @@ def test_off_region_payments_refuse_a_wide_opponent_space_first(tmp_path):
         assert proc.stderr.decode() == f"gimpl: {message}\n"
 
 
+def _no_utilities(*sizes: int) -> Game:
+    return Game.make(
+        [f"p{i}" for i in range(len(sizes))],
+        [[f"s{k}" for k in range(size)] for size in sizes],
+        [{}] * len(sizes),
+    )
+
+
+def test_solver_refuses_payment_vectors_before_listing_an_off_region_key():
+    # region all x {0}: 8,191 undesired strategies of player 1 by 1,024
+    # desired profiles, and 1,024 x 8,191 off-region keys of player 0
+    game = _no_utilities(1024, 8192)
+    region = RectRegion.make([range(1024), [0]])
+    with time_limit(1, "min_budget_solve"), pytest.raises(ValueError) as refusal:
+        min_budget_solve(game, region)
+    assert str(refusal.value) == "payment vectors need 8387584 entries, above the 4194304 cap"
+
+
+def test_off_region_payments_refuse_their_total_before_listing_a_key():
+    # region all x {0} x {0}: each player's 36,864 opponent profiles pass the
+    # per-player cap, but 192 x 36,863 + 2 x 36,672 off-region keys do not;
+    # the region is stable, so pne_promise reaches its promise
+    game = _no_utilities(192, 192, 192)
+    region = RectRegion.make([range(192), [0], [0]])
+    message = "off-region payments need 7151040 entries, above the 4194304 cap"
+    for step in (min_budget_solve, pne_promise):
+        with time_limit(2, step.__name__), pytest.raises(ValueError) as refusal:
+            step(game, region)
+        assert str(refusal.value) == message
+
+
+def test_exactify_refuses_the_off_region_total_after_verify():
+    # three players of 161 strategies: 161^3 payoffs per player, under the
+    # dominance cap, so verify answers; region all x 20 x 20 then needs
+    # 161 x 25,521 + 2 x 20 x 22,701 off-region keys
+    size, desired = 161, 20
+    names = [f"s{k}" for k in range(size)]
+    # player 0's strategies are pairwise incomparable at the first two profiles
+    u0 = {(x, 0, 0): x for x in range(size)} | {(x, 0, 1): -x for x in range(size)}
+    game = Game.make(["a", "b", "c"], [names] * 3, [u0, {}, {}])
+    region = RectRegion.make([range(size), range(desired), range(desired)])
+    # each desired strategy of players 1 and 2 earns 1 at one profile of its own
+    bonus = {(0, d, d): 1 for d in range(desired)}
+    promise = PaymentPromise.make(game, [{}, bonus, bonus])
+    with time_limit(10, "exactify"), pytest.raises(ValueError) as refusal:
+        exactify(game, region, promise)
+    assert str(refusal.value) == "off-region payments need 5016921 entries, above the 4194304 cap"
+
+
 def test_is_equitable_examples(ex1, ex1_region, ce1, ce1_region):
     ok, margins = is_equitable(ex1, ex1_region)
     assert not ok
